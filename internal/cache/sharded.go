@@ -431,14 +431,6 @@ func (s *Sharded) URLs() []string {
 	return out
 }
 
-// PolicyName returns the replacement policy's name.
-func (s *Sharded) PolicyName() string {
-	sh := &s.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.c.Policy().Name()
-}
-
 // PolicyFactory derives a per-shard policy constructor from a prototype
 // instance, preserving the Policy values callers already configure. The
 // built-in stateless policies (LRU, LFU, PiggybackLRU) are shared as-is;

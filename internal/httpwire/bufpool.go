@@ -10,19 +10,18 @@ import (
 
 // Pools for the wire layer's recurring scratch allocations. A proxy under
 // load opens and drops connections constantly; without reuse every accepted
-// or dialed connection allocates a fresh 4 KiB bufio.Reader and Writer, and
-// every serialized message allocates a sorted-key slice — churn that
+// or dialed connection allocates a fresh 4 KiB bufio.Reader, and every
+// serialized message allocates a sorted-key slice — churn that
 // dominated the heap profile at 64 concurrent workers. Bodies are NOT
 // pooled: they outlive the exchange (cached, returned to callers), so only
 // ownership-bounded scratch lives here.
 
-// readerSize/writerSize match bufio's default; one pool class keeps Put/Get
+// bufioSize matches bufio's default; one pool class keeps Put/Get
 // type-stable.
 const bufioSize = 4096
 
 var (
 	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, bufioSize) }}
-	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, bufioSize) }}
 
 	// keyScratchPool holds the sorted-key slices writeHeader uses; the
 	// indirection through a pointer avoids allocating a slice header on
@@ -45,21 +44,6 @@ func GetReader(r io.Reader) *bufio.Reader {
 func PutReader(br *bufio.Reader) {
 	br.Reset(nil)
 	readerPool.Put(br)
-}
-
-// GetWriter returns a pooled bufio.Writer reset to write to w.
-func GetWriter(w io.Writer) *bufio.Writer {
-	bw := writerPool.Get().(*bufio.Writer)
-	bw.Reset(w)
-	return bw
-}
-
-// PutWriter returns a writer to the pool without flushing; callers flush as
-// part of the exchange (WriteRequest/WriteResponse always flush), so
-// anything still buffered belongs to a failed exchange nobody will read.
-func PutWriter(bw *bufio.Writer) {
-	bw.Reset(nil)
-	writerPool.Put(bw)
 }
 
 // countingReader wraps a connection to count read syscalls: a bufio

@@ -2,12 +2,14 @@ package httpwire
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"piggyback/internal/httpwire/wireerr"
 	"piggyback/internal/obs"
 )
 
@@ -236,4 +238,149 @@ func TestPoolCloseUnblocksWaiters(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not unblock pool waiter")
 	}
+}
+
+// TestRetryRule pins the client's one retry rule: a call whose connection
+// died retries once, on a freshly dialed connection, while its own
+// deadline has budget left; dial failures, the caller's own cancellation,
+// and a spent budget are not retried.
+func TestRetryRule(t *testing.T) {
+	t.Run("stale idle conns: retry dials fresh", func(t *testing.T) {
+		release := make(chan struct{})
+		addr := startServer(t, HandlerFunc(func(ctx context.Context, req *Request) *Response {
+			if req.Path == "/pair" {
+				<-release
+			}
+			return echoHandler(ctx, req)
+		}))
+		c := NewClient()
+		c.Obs = testWireMetrics()
+		defer c.Close()
+		// Park two connections on the idle list, then kill both.
+		var wg sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.DoContext(context.Background(), addr, NewRequest("GET", "/pair"))
+			}()
+		}
+		for c.Obs.ConnsOpen.Load() < 2 {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		wg.Wait()
+		closeIdleConns(c)
+		resp, err := c.DoContext(context.Background(), addr, NewRequest("GET", "/x"))
+		if err != nil || string(resp.Body) != "echo:/x" {
+			t.Fatalf("retry took the other stale conn: %v", err)
+		}
+		if got := c.Obs.Retries.Load(); got != 1 {
+			t.Errorf("retries = %d, want 1", got)
+		}
+		if got := c.Obs.Dials.Load(); got != 3 {
+			t.Errorf("dials = %d, want 3 (two parked + one fresh)", got)
+		}
+	})
+	t.Run("fresh dial at the bound", func(t *testing.T) {
+		release := make(chan struct{})
+		defer close(release)
+		addr := startServer(t, HandlerFunc(func(ctx context.Context, req *Request) *Response {
+			if req.Path == "/hold" {
+				<-release
+			}
+			return echoHandler(ctx, req)
+		}))
+		c := NewClient()
+		c.MaxConnsPerHost = 2
+		c.RetryBackoff = 200 * time.Millisecond
+		c.Obs = testWireMetrics()
+		defer c.Close()
+		go c.DoContext(context.Background(), addr, NewRequest("GET", "/hold"))
+		if _, err := c.DoContext(context.Background(), addr, NewRequest("GET", "/warm")); err != nil {
+			t.Fatal(err)
+		}
+		closeIdleConns(c)
+		retried := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			_, err := c.DoContext(ctx, addr, NewRequest("GET", "/x"))
+			retried <- err
+		}()
+		for c.Obs.Retries.Load() < 1 {
+			time.Sleep(time.Millisecond)
+		}
+		// During the backoff another call refills the freed slot and
+		// parks its connection: the retry must close that idle conn to
+		// make room, not wait behind the held one.
+		if _, err := c.DoContext(context.Background(), addr, NewRequest("GET", "/y")); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-retried; err != nil {
+			t.Fatalf("retry at the bound: %v", err)
+		}
+		if got := c.Obs.Dials.Load(); got != 4 {
+			t.Errorf("dials = %d, want 4 (hold, warm, refill, fresh)", got)
+		}
+	})
+	t.Run("dial failure", func(t *testing.T) {
+		l := listenLoopback(t)
+		addr := l.Addr().String()
+		l.Close()
+		c := NewClient()
+		c.Obs = testWireMetrics()
+		defer c.Close()
+		if _, err := c.DoContext(context.Background(), addr, NewRequest("GET", "/x")); err == nil {
+			t.Fatal("dial to a closed port succeeded")
+		}
+		if got := c.Obs.Retries.Load(); got != 0 {
+			t.Errorf("retries = %d after a dial failure, want 0", got)
+		}
+	})
+	t.Run("own cancellation", func(t *testing.T) {
+		addr := startServer(t, HandlerFunc(func(ctx context.Context, req *Request) *Response {
+			if req.Path == "/stall" {
+				<-ctx.Done()
+			}
+			return echoHandler(ctx, req)
+		}))
+		c := NewClient()
+		c.Obs = testWireMetrics()
+		defer c.Close()
+		if _, err := c.DoContext(context.Background(), addr, NewRequest("GET", "/warm")); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(30*time.Millisecond, cancel)
+		if _, err := c.DoContext(ctx, addr, NewRequest("GET", "/stall")); !errors.Is(err, wireerr.ErrCanceled) {
+			t.Fatalf("err = %v, want ErrCanceled", err)
+		}
+		if got := c.Obs.Retries.Load(); got != 0 {
+			t.Errorf("retries = %d after the caller cancelled, want 0", got)
+		}
+	})
+	t.Run("spent budget", func(t *testing.T) {
+		addr := startServer(t, HandlerFunc(func(ctx context.Context, req *Request) *Response {
+			if req.Path == "/slow" {
+				time.Sleep(150 * time.Millisecond)
+			}
+			return echoHandler(ctx, req)
+		}))
+		c := NewClient()
+		c.RequestTimeout = 50 * time.Millisecond
+		c.Obs = testWireMetrics()
+		defer c.Close()
+		if _, err := c.DoContext(context.Background(), addr, NewRequest("GET", "/warm")); err != nil {
+			t.Fatal(err)
+		}
+		// The reused connection times out with the call's whole budget
+		// spent: a retry could only time out again.
+		if _, err := c.DoContext(context.Background(), addr, NewRequest("GET", "/slow")); !errors.Is(err, wireerr.ErrRequestTimeout) {
+			t.Fatalf("err = %v, want ErrRequestTimeout", err)
+		}
+		if got := c.Obs.Retries.Load(); got != 0 {
+			t.Errorf("retries = %d after the budget ran out, want 0", got)
+		}
+	})
 }

@@ -82,16 +82,6 @@ func LatencyBuckets() []int64 {
 	return b
 }
 
-// SizeBuckets returns exponential bounds suited to message sizes in bytes:
-// 64 B up to 16 MiB, doubling each bucket.
-func SizeBuckets() []int64 {
-	var b []int64
-	for v := int64(64); v <= 16<<20; v *= 2 {
-		b = append(b, v)
-	}
-	return b
-}
-
 // BatchBuckets returns bounds suited to small coalesced-batch sizes
 // (messages per syscall): 1 up to 64, doubling each bucket.
 func BatchBuckets() []int64 {

@@ -66,7 +66,6 @@ type point struct {
 type Ring struct {
 	peers  []string // sorted, deduplicated
 	points []point  // sorted by (hash, owner) for deterministic ties
-	vnodes int
 }
 
 // NewRing builds a ring over the given peer IDs. Duplicates are dropped
@@ -93,7 +92,6 @@ func NewRing(peers []string, vnodes int) *Ring {
 	r := &Ring{
 		peers:  uniq,
 		points: make([]point, 0, len(uniq)*vnodes),
-		vnodes: vnodes,
 	}
 	for i, p := range uniq {
 		for v := 0; v < vnodes; v++ {
@@ -133,9 +131,6 @@ func (r *Ring) Peers() []string { return r.peers }
 
 // Size returns the number of peers on the ring.
 func (r *Ring) Size() int { return len(r.peers) }
-
-// VNodes returns the virtual-node count per peer.
-func (r *Ring) VNodes() int { return r.vnodes }
 
 // Contains reports whether id is a ring member.
 func (r *Ring) Contains(id string) bool {

@@ -79,13 +79,6 @@ type Config struct {
 	// UpstreamTimeout caps one upstream exchange (the client's
 	// RequestTimeout); zero keeps the wire default (30s).
 	UpstreamTimeout time.Duration
-	// UpstreamInflight is how many concurrent exchanges share one
-	// multiplexed upstream connection (writev-batched requests, one
-	// reader demuxing pipelined responses — httpwire's
-	// MaxInflightPerConn). Zero means 4; 1 disables multiplexing and
-	// keeps the classic one-exchange-per-connection pool. The peer
-	// client is unaffected either way.
-	UpstreamInflight int
 	// BreakerFailures is the consecutive-failure threshold that trips a
 	// host's circuit open; zero means 5.
 	BreakerFailures int
@@ -327,12 +320,10 @@ func New(cfg Config) *Proxy {
 	if cfg.UpstreamTimeout > 0 {
 		p.client.RequestTimeout = cfg.UpstreamTimeout
 	}
-	switch {
-	case cfg.UpstreamInflight == 0:
-		p.client.MaxInflightPerConn = 4
-	case cfg.UpstreamInflight > 1:
-		p.client.MaxInflightPerConn = cfg.UpstreamInflight
-	}
+	// Up to four concurrent exchanges pipeline on one origin connection
+	// once the pool is at its per-host bound; the peer client keeps each
+	// exchange on a connection of its own.
+	p.client.MaxInflightPerConn = 4
 	// The upstream client's wire metrics (round-trip latency, retries,
 	// dials) land in the same registry under wire.upstream.*, and the
 	// cache's shard-occupancy and eviction gauges under cache.*.

@@ -96,11 +96,12 @@ func (s *Store) Put(r Resource) {
 // Get returns a copy of the resource.
 func (s *Store) Get(url string) (Resource, bool) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	r, ok := s.res[url]
-	s.mu.RUnlock()
 	if !ok {
 		return Resource{}, false
 	}
+	// Copy under the lock: Modify writes through the same pointer.
 	return *r, true
 }
 

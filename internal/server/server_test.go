@@ -176,6 +176,32 @@ func TestStoreOperations(t *testing.T) {
 	}
 }
 
+// TestStoreGetConcurrentWithModify runs Get against Modify on one resource.
+// Under -race it fails if Get copies the resource outside the read lock;
+// without -race it still checks that every copy is self-consistent.
+func TestStoreGetConcurrentWithModify(t *testing.T) {
+	st := NewStore()
+	st.Put(Resource{URL: "/x", Size: 10, LastModified: 1000})
+	const rounds = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := int64(1); i <= rounds; i++ {
+			st.Modify("/x", 1000+i, 10+i)
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		r, ok := st.Get("/x")
+		if !ok {
+			t.Fatal("Get lost the resource")
+		}
+		if r.lmDate != httpwire.FormatHTTPDate(r.LastModified) {
+			t.Fatalf("torn copy: Last-Modified %d rendered as %q", r.LastModified, r.lmDate)
+		}
+	}
+	<-done
+}
+
 func TestBodySynthesisDeterministicAndSized(t *testing.T) {
 	r := &Resource{URL: "/a/x.html", Size: 1000}
 	b1, b2 := r.body(7), r.body(7)
