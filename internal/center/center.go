@@ -16,7 +16,6 @@ package center
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"piggyback/internal/core"
 	"piggyback/internal/httpwire"
@@ -111,25 +110,6 @@ func (c *Center) Stats() Stats {
 // Close releases upstream connections.
 func (c *Center) Close() { c.client.Close() }
 
-func splitTarget(req *httpwire.Request) (host, path string, err error) {
-	t := req.Path
-	if strings.HasPrefix(t, "http://") {
-		rest := strings.TrimPrefix(t, "http://")
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			return rest[:i], rest[i:], nil
-		}
-		return rest, "/", nil
-	}
-	host = req.Header.Get("Host")
-	if host == "" {
-		return "", "", fmt.Errorf("center: request has neither absolute URI nor Host header")
-	}
-	if !strings.HasPrefix(t, "/") {
-		t = "/" + t
-	}
-	return host, t, nil
-}
-
 // ServeWire implements httpwire.Handler: relay, observe, inject. The
 // request context bounds the upstream relay, so a torn-down client
 // connection abandons its origin exchange.
@@ -141,7 +121,7 @@ func (c *Center) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire
 		return httpwire.PprofResponse(req)
 	}
 	now := c.cfg.Clock()
-	host, path, err := splitTarget(req)
+	host, path, err := httpwire.SplitTarget(req)
 	if err != nil {
 		return httpwire.NewResponse(400)
 	}

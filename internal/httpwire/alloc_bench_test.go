@@ -140,6 +140,11 @@ func TestAllocBudgets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budgets need steady-state runs")
 	}
+	if raceEnabled {
+		// The race detector drops sync.Pool items at random, so a
+		// pool-backed budget would measure the detector, not the code.
+		t.Skip("allocation budgets are gated in non-race runs")
+	}
 	bw := bufio.NewWriter(io.Discard)
 	// Pre-built messages: serialization does not mutate them, so the runs
 	// measure the write path alone with no construction cost to subtract.

@@ -182,11 +182,14 @@ func (s *Server) serveConn(base context.Context, conn net.Conn) {
 		if pending == 0 {
 			return nil
 		}
-		err := writeVec(conn, out)
+		// Count the batch before writing it: a client that has read its
+		// responses must find them counted. The syscall is issued either
+		// way.
 		if s.Obs != nil {
 			s.Obs.WriteOps.Inc()
 			s.Obs.WriteBatch.Observe(int64(pending))
 		}
+		err := writeVec(conn, out)
 		out.reset()
 		pending = 0
 		return err

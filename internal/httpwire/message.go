@@ -191,6 +191,27 @@ func (r *Request) AcceptsChunkedTrailer() bool {
 	return false
 }
 
+// SplitTarget extracts (host, path) from a request addressed to a proxy:
+// absolute-URI form "http://host/path", or a Host header plus an
+// origin-form path. A request with neither is an error.
+func SplitTarget(req *Request) (host, path string, err error) {
+	t := req.Path
+	if rest, ok := strings.CutPrefix(t, "http://"); ok {
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			return rest[:i], rest[i:], nil
+		}
+		return rest, "/", nil
+	}
+	host = req.Header.Get("Host")
+	if host == "" {
+		return "", "", fmt.Errorf("httpwire: request has neither absolute URI nor Host header")
+	}
+	if !strings.HasPrefix(t, "/") {
+		t = "/" + t
+	}
+	return host, t, nil
+}
+
 // IfModifiedSince returns the request's If-Modified-Since time, if present
 // and valid.
 func (r *Request) IfModifiedSince() (int64, bool) {

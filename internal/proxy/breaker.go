@@ -82,6 +82,19 @@ func newBreaker(cfg breakerSettings, reg *obs.Registry, prefix string, seed int6
 	}
 }
 
+// configBreaker returns the per-host breaker cfg describes, counted under
+// prefix, or nil when cfg disables breakers.
+func configBreaker(cfg Config, reg *obs.Registry, prefix string) *breaker {
+	if cfg.BreakerDisabled {
+		return nil
+	}
+	seed := cfg.BreakerSeed
+	if seed == 0 {
+		seed = 1
+	}
+	return newBreaker(breakerSettings{failures: cfg.BreakerFailures, backoff: cfg.BreakerBackoff}, reg, prefix, seed)
+}
+
 // Allow reports whether a request to host may dial upstream. An open
 // circuit past its backoff admits exactly one half-open probe; refusals
 // are counted as short-circuits.

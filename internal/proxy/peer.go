@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"piggyback/internal/cache"
 	"piggyback/internal/core"
 	"piggyback/internal/httpwire"
 	"piggyback/internal/obs"
@@ -84,14 +83,9 @@ func newMesh(cfg Config, reg *obs.Registry) *mesh {
 	if cfg.PeerSelf == "" {
 		return nil
 	}
-	peers := cfg.Peers
-	ring := peer.NewRing(append(append([]string{}, peers...), cfg.PeerSelf), cfg.PeerVNodes)
+	ring := peer.NewRing(append(append([]string{}, cfg.Peers...), cfg.PeerSelf), 0)
 	if ring.Size() < 2 {
 		return nil
-	}
-	window := cfg.PeerWindow
-	if window <= 0 {
-		window = cfg.RPVTimeout
 	}
 	timeout := cfg.PeerTimeout
 	if timeout <= 0 {
@@ -101,8 +95,9 @@ func newMesh(cfg Config, reg *obs.Registry) *mesh {
 	m := &mesh{
 		self:    cfg.PeerSelf,
 		ring:    ring,
-		tracker: peer.NewTracker(window),
+		tracker: peer.NewTracker(cfg.RPVTimeout),
 		client:  httpwire.NewClient(),
+		breaker: configBreaker(cfg, reg, "peer.breaker"),
 		timeout: timeout,
 		jobs:    make(chan propagation, propagationQueueLen),
 		ctx:     ctx,
@@ -123,17 +118,6 @@ func newMesh(cfg Config, reg *obs.Registry) *mesh {
 		},
 	}
 	m.c.peersGauge.Add(int64(ring.Size()))
-	if !cfg.BreakerDisabled {
-		seed := cfg.BreakerSeed
-		if seed == 0 {
-			seed = 1
-		}
-		m.breaker = newBreaker(breakerSettings{
-			failures:   cfg.BreakerFailures,
-			backoff:    cfg.BreakerBackoff,
-			maxBackoff: cfg.BreakerMaxBackoff,
-		}, reg, "peer.breaker", seed)
-	}
 	m.client.Obs = obs.NewWireMetrics(reg, "wire.peer")
 	m.client.RequestTimeout = timeout
 	go m.propagateLoop()
@@ -154,52 +138,24 @@ func (m *mesh) owner(key string) (string, bool) {
 }
 
 // forwardToPeer routes one request to the owner peer and returns the
-// response to serve, or nil when the caller should fall back to the origin
-// (owner circuit open, wire failure, or an unusable status). A usable peer
-// response is cached locally — the mesh is an L1 everywhere with the owner
-// as its partition's L2 — and tagged X-Cache: PEER.
+// response to serve, or nil when the caller should fall back to the origin.
+// A usable peer response is cached locally — the mesh is an L1 everywhere
+// with the owner as its partition's L2.
 func (p *Proxy) forwardToPeer(ctx context.Context, owner string, st upstreamState, now int64) *httpwire.Response {
 	m := p.mesh
 	m.c.forwards.Inc()
-	if !m.breaker.Allow(owner) {
-		m.client.Obs.CountErrClass("circuit_open")
-		m.c.fallbacks.Inc()
-		return nil
-	}
 	req := httpwire.NewRequest("GET", "http://"+st.host+st.path)
 	httpwire.SetPeerFrom(req, m.self)
-	resp, err := m.client.DoContext(ctx, owner, req)
-	if err != nil {
-		if qualifyingFailure(err) {
-			m.breaker.Failure(owner)
-		}
-		m.c.fallbacks.Inc()
-		return nil
-	}
-	m.breaker.Success(owner)
-	if resp.Status != 200 {
-		// The owner could not produce a body (its own origin leg failed,
-		// or the resource is gone). Let the local origin path decide.
+	resp, err := exchange(ctx, m.client, m.breaker, owner, owner, req)
+	if err != nil || resp.Status != 200 {
+		// An open circuit, a wire failure, or an owner that could not
+		// produce a body (its own origin leg failed, or the resource is
+		// gone): let the local origin path decide.
 		m.c.fallbacks.Inc()
 		return nil
 	}
 	lm, _ := resp.LastModified()
-	ct := resp.Header.Get("Content-Type")
-	lmDate := resp.Header.Get("Last-Modified")
-	p.cache.Put(cache.Entry{
-		URL:              st.key,
-		Size:             int64(len(resp.Body)),
-		LastModified:     lm,
-		LastModifiedHTTP: lmDate,
-		Expires:          now + p.delta(st.key),
-		FetchedAt:        now,
-		Body:             resp.Body,
-		ContentType:      ct,
-	}, now)
-	out := serveCopy(resp.Body, lm, lmDate, ct)
-	out.Header.Set("X-Cache", "PEER")
-	m.c.serves.Inc()
-	return out
+	return p.admit(st.key, resp.Body, lm, resp.Header.Get("Last-Modified"), resp.Header.Get("Content-Type"), now, false)
 }
 
 // servePeerPiggyback handles a POST to PeerPiggybackPath: a peer
@@ -250,8 +206,8 @@ func (p *Proxy) enqueuePropagation(originHost string, msg core.Message, now int6
 
 // propagateLoop is the mesh's single background sender: it drains queued
 // piggybacks and POSTs each to its targets, bounded per send by the peer
-// timeout. Failed sends count as drops and feed the per-peer breaker so a
-// dead peer stops costing dials.
+// timeout. Failed or refused sends count as drops; failures feed the
+// per-peer breaker so a dead peer stops costing dials.
 func (m *mesh) propagateLoop() {
 	defer close(m.done)
 	for {
@@ -263,23 +219,14 @@ func (m *mesh) propagateLoop() {
 				if m.ctx.Err() != nil {
 					return
 				}
-				if !m.breaker.Allow(target) {
-					m.client.Obs.CountErrClass("circuit_open")
-					m.c.propagationDrops.Inc()
-					continue
-				}
 				req := httpwire.NewPeerPiggybackRequest(job.originHost, m.self, job.msg)
 				ctx, cancel := context.WithTimeout(m.ctx, m.timeout)
-				resp, err := m.client.DoContext(ctx, target, req)
+				resp, err := exchange(ctx, m.client, m.breaker, target, target, req)
 				cancel()
 				if err != nil || resp.Status != 200 {
-					if qualifyingFailure(err) {
-						m.breaker.Failure(target)
-					}
 					m.c.propagationDrops.Inc()
 					continue
 				}
-				m.breaker.Success(target)
 				m.c.propagationsSent.Inc()
 				m.c.elementsPropagated.Add(int64(len(job.msg.Elements)))
 			}

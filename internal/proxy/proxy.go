@@ -27,18 +27,14 @@ import (
 // Config parameterizes a Proxy.
 type Config struct {
 	// Store is the cache the proxy serves from. Nil means a fresh
-	// cache.Sharded built from CacheBytes/CacheShards/Policy below; set
-	// it explicitly to serve from a tiered (RAM+disk) store or any other
-	// cache.Store implementation. When Store is set, CacheBytes,
-	// CacheShards, and Policy are ignored. The proxy owns the store and
-	// closes it in Close.
+	// PiggybackLRU cache.Sharded built from CacheBytes/CacheShards below;
+	// set it explicitly to serve from a tiered (RAM+disk) store, another
+	// replacement policy, or any other cache.Store implementation. When
+	// Store is set, CacheBytes and CacheShards are ignored. The proxy owns
+	// the store and closes it in Close.
 	Store cache.Store
 	// CacheBytes is the cache capacity; zero means 64 MiB.
 	CacheBytes int64
-	// Policy is the replacement policy; nil means PiggybackLRU. Each
-	// cache shard gets its own instance (stateful policies carry
-	// per-shard state; see cache.PolicyFactory).
-	Policy cache.Policy
 	// CacheShards is the number of cache shards, rounded up to a power
 	// of two; zero means cache.DefaultShards() (the smallest power of
 	// two covering the machine's CPUs, clamped to [8, 64]).
@@ -49,10 +45,9 @@ type Config struct {
 	// BaseFilter is attached to upstream requests (the per-server RPV
 	// list is added per request).
 	BaseFilter core.Filter
-	// RPVTimeout and RPVMaxLen configure the per-server RPV lists
-	// (§2.2); timeout zero means Delta (its upper bound).
+	// RPVTimeout is the per-server RPV list timeout (§2.2); zero means
+	// Delta (its upper bound).
 	RPVTimeout int64
-	RPVMaxLen  int
 	// Resolve maps a host name to a dialable address. Required: the
 	// testbed has no DNS.
 	Resolve func(host string) (string, error)
@@ -62,7 +57,8 @@ type Config struct {
 	// not in the cache (§4), via the informed (smallest-first) queue.
 	Prefetch bool
 	// AdaptiveFreshness enables per-resource Δ from observed
-	// modification rates (§4); off, every entry gets the default Δ.
+	// modification rates (§4), clamped to [Delta/10, Delta*24]; off,
+	// every entry gets the default Δ.
 	AdaptiveFreshness bool
 	// ReportHits piggybacks the URLs served from cache since the last
 	// upstream request onto the next request to that server (Piggy-Hits
@@ -73,9 +69,6 @@ type Config struct {
 	// validating stale entries, reconstructing the new version from the
 	// cached body plus the server's patch (§4, ref [23]).
 	DeltaEncoding bool
-	// MinDelta/MaxDelta clamp adaptive Δ; zero means Delta/10 and
-	// Delta*24.
-	MinDelta, MaxDelta int64
 	// UpstreamTimeout caps one upstream exchange (the client's
 	// RequestTimeout); zero keeps the wire default (30s).
 	UpstreamTimeout time.Duration
@@ -83,10 +76,9 @@ type Config struct {
 	// host's circuit open; zero means 5.
 	BreakerFailures int
 	// BreakerBackoff is the initial open interval before a half-open
-	// probe (jittered 0.5×–1.5×, doubling per failed probe up to
-	// BreakerMaxBackoff); zeros mean 500ms and 30s.
-	BreakerBackoff    time.Duration
-	BreakerMaxBackoff time.Duration
+	// probe (jittered 0.5×–1.5×, doubling per failed probe up to 30s);
+	// zero means 500ms.
+	BreakerBackoff time.Duration
 	// BreakerDisabled turns the per-host circuit breaker off.
 	BreakerDisabled bool
 	// BreakerSeed seeds the breaker's backoff jitter; zero means 1
@@ -105,16 +97,11 @@ type Config struct {
 	// consistent-hash ring is built over Peers ∪ {PeerSelf}. A ring of
 	// fewer than two members disables the mesh.
 	Peers []string
-	// PeerVNodes is the virtual-node count per peer on the ring; zero
-	// means peer.DefaultVNodes.
-	PeerVNodes int
 	// PeerTimeout caps one peer exchange — a forwarded request or a
-	// piggyback propagation; zero means 5s.
+	// piggyback propagation; zero means 5s. A peer keeps receiving
+	// re-propagated piggybacks for RPVTimeout seconds after its last
+	// forwarded request.
 	PeerTimeout time.Duration
-	// PeerWindow is how long (seconds) after a peer's last forwarded
-	// request it keeps receiving re-propagated piggybacks; zero means
-	// RPVTimeout.
-	PeerWindow int64
 }
 
 // Stats counts proxy-side protocol activity.
@@ -250,9 +237,6 @@ func New(cfg Config) *Proxy {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 64 << 20
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = cache.PiggybackLRU{}
-	}
 	if cfg.Delta <= 0 {
 		cfg.Delta = 3600
 	}
@@ -261,24 +245,18 @@ func New(cfg Config) *Proxy {
 		// interval Δ.
 		cfg.RPVTimeout = cfg.Delta
 	}
-	if cfg.MinDelta <= 0 {
-		cfg.MinDelta = cfg.Delta / 10
-	}
-	if cfg.MaxDelta <= 0 {
-		cfg.MaxDelta = cfg.Delta * 24
-	}
 	if cfg.MaxStaleOnError == 0 {
 		cfg.MaxStaleOnError = 3600
 	}
 	store := cfg.Store
 	if store == nil {
-		store = cache.NewSharded(cfg.CacheBytes, cfg.CacheShards, cache.PolicyFactory(cfg.Policy))
+		store = cache.NewSharded(cfg.CacheBytes, cfg.CacheShards, nil)
 	}
 	reg := obs.NewRegistry()
 	p := &Proxy{
 		cfg:     cfg,
 		client:  httpwire.NewClient(),
-		rpv:     core.NewRPVTable(cfg.RPVTimeout, cfg.RPVMaxLen),
+		rpv:     core.NewRPVTable(cfg.RPVTimeout, 0),
 		cache:   store,
 		queue:   NewInformedQueue(),
 		hits:    newHostHits(),
@@ -305,17 +283,7 @@ func New(cfg Config) *Proxy {
 			staleServes:        reg.Counter("proxy.stale_serves"),
 		},
 	}
-	if !cfg.BreakerDisabled {
-		seed := cfg.BreakerSeed
-		if seed == 0 {
-			seed = 1
-		}
-		p.breaker = newBreaker(breakerSettings{
-			failures:   cfg.BreakerFailures,
-			backoff:    cfg.BreakerBackoff,
-			maxBackoff: cfg.BreakerMaxBackoff,
-		}, reg, "", seed)
-	}
+	p.breaker = configBreaker(cfg, reg, "proxy.breaker")
 	p.mesh = newMesh(cfg, reg)
 	if cfg.UpstreamTimeout > 0 {
 		p.client.RequestTimeout = cfg.UpstreamTimeout
@@ -330,7 +298,7 @@ func New(cfg Config) *Proxy {
 	p.client.Obs = obs.NewWireMetrics(reg, "wire.upstream")
 	p.cache.Instrument(reg, "cache")
 	if cfg.AdaptiveFreshness {
-		p.fresh = NewFreshnessEstimator(cfg.Delta, cfg.MinDelta, cfg.MaxDelta)
+		p.fresh = NewFreshnessEstimator(cfg.Delta, cfg.Delta/10, cfg.Delta*24)
 	}
 	return p
 }
@@ -416,27 +384,6 @@ func (p *Proxy) Close() {
 	}
 }
 
-// splitTarget extracts (host, path) from a proxy request: absolute-URI
-// form "http://host/path", or Host header + origin-form path.
-func splitTarget(req *httpwire.Request) (host, path string, err error) {
-	t := req.Path
-	if strings.HasPrefix(t, "http://") {
-		rest := strings.TrimPrefix(t, "http://")
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			return rest[:i], rest[i:], nil
-		}
-		return rest, "/", nil
-	}
-	host = req.Header.Get("Host")
-	if host == "" {
-		return "", "", fmt.Errorf("proxy: request has neither absolute URI nor Host header")
-	}
-	if !strings.HasPrefix(t, "/") {
-		t = "/" + t
-	}
-	return host, t, nil
-}
-
 // upstreamState carries what one request needs across the upstream
 // exchange: the target, and — when a stale copy exists — the cached body,
 // Last-Modified, and Content-Type, copied out under the shard lock (a
@@ -466,7 +413,7 @@ func (p *Proxy) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire.
 		return p.servePeerPiggyback(req)
 	}
 	now := p.cfg.Clock()
-	host, path, err := splitTarget(req)
+	host, path, err := httpwire.SplitTarget(req)
 	if err != nil || req.Method != "GET" {
 		if err == nil && req.Method != "GET" {
 			return httpwire.NewResponse(501)
@@ -490,22 +437,88 @@ func (p *Proxy) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire.
 	p.c.clientRequests.Inc()
 	st, resp := p.lookup(key, host, path, now)
 	if resp != nil {
-		return resp // fresh hit
+		return p.respond(outHit, resp)
 	}
 	if !st.hit {
 		// Cold key: de-duplicate concurrent misses. Only one goroutine
-		// fetches; the rest share its response.
-		if shared, ok := p.joinFlight(ctx, key); ok {
-			p.c.singleflightShared.Inc()
-			return shared
+		// fetches; the rest share its response, which the leader stamps
+		// before publishing it.
+		if o, shared, ok := p.joinFlight(ctx, key); ok {
+			return p.respond(o, shared)
 		}
-		out := p.fetchRouted(ctx, st, now, fromPeer)
+		out := p.respond(p.fetchRouted(ctx, st, now, fromPeer))
 		p.finishFlight(key, out)
 		return out
 	}
 	// Stale copy: each holder validates with its own conditional GET (or,
 	// for a key owned elsewhere on the mesh, asks the owner first).
-	return p.fetchRouted(ctx, st, now, fromPeer)
+	return p.respond(p.fetchRouted(ctx, st, now, fromPeer))
+}
+
+// outcome is how the proxy answered one client request. Every client
+// response passes through respond exactly once, which derives its X-Cache
+// header and per-outcome counters from the outcome alone.
+type outcome uint8
+
+const (
+	outHit         outcome = iota // fresh cache hit
+	outShared                     // another request's in-flight fetch, shared
+	outDetached                   // a follower whose context ended before its flight (504)
+	outPeer                       // served by the key's ring owner
+	outMiss                       // cold key fetched from the origin (200)
+	outRefetched                  // stale copy replaced by a 200
+	outRevalidated                // stale copy validated by a 304
+	outDelta                      // stale copy patched by a 226
+	outStale                      // expired copy served because the upstream failed
+	outBadUpstream                // unusable origin answer: a 502, or the cached copy
+	outPassthrough                // any other origin status, forwarded uncached
+	outFailed                     // no exchange and no servable copy: the proxy's 502/504
+)
+
+// xCache is each outcome's X-Cache value; an empty one sets no header.
+var xCache = [outFailed + 1]string{
+	outHit:         "HIT",
+	outShared:      "SHARED",
+	outPeer:        "PEER",
+	outMiss:        "MISS",
+	outRefetched:   "MISS",
+	outRevalidated: "MISS",
+	outDelta:       "MISS",
+	outStale:       "STALE",
+	outBadUpstream: "MISS",
+	outPassthrough: "MISS",
+}
+
+// respond is the one place a request's outcome becomes its X-Cache header
+// (plus Warning: 110 for a stale serve) and the per-outcome counters.
+func (p *Proxy) respond(o outcome, resp *httpwire.Response) *httpwire.Response {
+	switch o {
+	case outHit:
+		p.c.freshHits.Inc()
+	case outShared, outDetached:
+		p.c.singleflightShared.Inc()
+	case outPeer:
+		p.mesh.c.serves.Inc()
+	case outMiss:
+		p.c.missFetches.Inc()
+	case outRefetched:
+		p.c.validations.Inc()
+	case outRevalidated:
+		p.c.validations.Inc()
+		p.c.notModified.Inc()
+	case outDelta:
+		p.c.validations.Inc()
+		p.c.deltaUpdates.Inc()
+	case outStale:
+		p.c.staleServes.Inc()
+		resp.Header.Set("Warning", `110 - "Response is Stale"`)
+	case outBadUpstream:
+		p.c.upstreamErrors.Inc()
+	}
+	if x := xCache[o]; x != "" {
+		resp.Header.Set("X-Cache", x)
+	}
+	return resp
 }
 
 // fetchRouted is the mesh-aware upstream exchange: when the mesh is on,
@@ -513,11 +526,11 @@ func (p *Proxy) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire.
 // remote peer, the owner is asked first; a nil answer (dead peer, open
 // circuit, unusable status) falls back to the ordinary origin fetch, so
 // peering never adds a client-visible failure mode.
-func (p *Proxy) fetchRouted(ctx context.Context, st upstreamState, now int64, fromPeer bool) *httpwire.Response {
+func (p *Proxy) fetchRouted(ctx context.Context, st upstreamState, now int64, fromPeer bool) (outcome, *httpwire.Response) {
 	if p.mesh != nil && !fromPeer {
 		if owner, remote := p.mesh.owner(st.key); remote {
 			if out := p.forwardToPeer(ctx, owner, st, now); out != nil {
-				return out
+				return outPeer, out
 			}
 		}
 	}
@@ -535,13 +548,10 @@ func (p *Proxy) lookup(key, host, path string, now int64) (upstreamState, *httpw
 		p.c.usefulPrefetches.Inc()
 	}
 	if hit && v.Fresh(now) {
-		p.c.freshHits.Inc()
 		if p.cfg.ReportHits && !p.hits.add(host, path) {
 			p.c.hitsDropped.Inc()
 		}
-		resp := serveCopy(v.Body, v.LastModified, v.LastModifiedHTTP, v.ContentType)
-		resp.Header.Set("X-Cache", "HIT")
-		return st, resp
+		return st, serveCopy(v.Body, v.LastModified, v.LastModifiedHTTP, v.ContentType)
 	}
 	st.hit = hit
 	if hit {
@@ -554,30 +564,34 @@ func (p *Proxy) lookup(key, host, path string, now int64) (upstreamState, *httpw
 	return st, nil
 }
 
+// cached serves the stale copy st carries.
+func (st *upstreamState) cached() *httpwire.Response {
+	return serveCopy(st.cachedBody, st.cachedLM, st.cachedLMDate, st.cachedCT)
+}
+
 // joinFlight waits on an existing flight for key and returns its shared
 // response, or registers the caller as the flight leader (ok == false). A
 // follower whose ctx ends detaches with a gateway-timeout response; the
 // leader's fetch — and the other waiters — are unaffected.
-func (p *Proxy) joinFlight(ctx context.Context, key string) (*httpwire.Response, bool) {
+func (p *Proxy) joinFlight(ctx context.Context, key string) (outcome, *httpwire.Response, bool) {
 	p.sfMu.Lock()
 	if f, ok := p.flights[key]; ok {
 		p.sfMu.Unlock()
 		select {
 		case <-f.done:
 		case <-ctx.Done():
-			return httpwire.NewResponse(504), true
+			return outDetached, httpwire.NewResponse(504), true
 		}
 		out := httpwire.NewResponse(f.resp.Status)
 		for k, v := range f.resp.Header {
 			out.Header[k] = v
 		}
 		out.Body = f.resp.Body // bodies are never mutated once built
-		out.Header.Set("X-Cache", "SHARED")
-		return out, true
+		return outShared, out, true
 	}
 	p.flights[key] = &flight{done: make(chan struct{})}
 	p.sfMu.Unlock()
-	return nil, false
+	return 0, nil, false
 }
 
 // finishFlight publishes the leader's response and releases the waiters.
@@ -590,26 +604,15 @@ func (p *Proxy) finishFlight(key string, out *httpwire.Response) {
 	close(f.done)
 }
 
-// fetch runs the upstream exchange for st — conditional when a stale copy
-// exists (§2.1) — and the per-shard cache update that follows. On an open
-// circuit or a qualifying upstream failure it degrades to the expired
-// cached copy (X-Cache: STALE) when one is within MaxStaleOnError.
-func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwire.Response {
-	if !p.breaker.Allow(st.host) {
-		p.client.Obs.CountErrClass("circuit_open")
-		return p.degrade(st, now, wireerr.ErrCircuitOpen)
-	}
-
+// fetch runs the origin exchange for st — conditional when a stale copy
+// exists (§2.1) — and the cache update that follows. On an open circuit or
+// a qualifying upstream failure it degrades to the expired cached copy
+// (X-Cache: STALE) when one is within MaxStaleOnError.
+func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) (outcome, *httpwire.Response) {
 	// Snapshot the filter state (the RPV table locks internally) and
 	// drain this host's pending hit reports from its stripe.
 	filter := p.cfg.BaseFilter
 	filter.RPV = p.rpv.Snapshot(st.host, now)
-	var reportHits []string
-	if p.cfg.ReportHits {
-		reportHits = p.hits.take(st.host)
-		p.c.hitsReported.Add(int64(len(reportHits)))
-	}
-
 	oreq := httpwire.NewRequest("GET", st.path)
 	oreq.Header.Set("Host", st.host)
 	if st.hit {
@@ -623,108 +626,61 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 		}
 	}
 	httpwire.SetFilter(oreq, filter)
-	httpwire.SetHits(oreq, reportHits)
-
-	addr, err := p.cfg.Resolve(st.host)
-	if err != nil {
-		p.countUpstreamError()
-		return httpwire.NewResponse(502)
+	if p.cfg.ReportHits {
+		reportHits := p.hits.take(st.host)
+		p.c.hitsReported.Add(int64(len(reportHits)))
+		httpwire.SetHits(oreq, reportHits)
 	}
-	resp, err := p.client.DoContext(ctx, addr, oreq)
+
+	resp, err := p.upstream(ctx, st.host, oreq)
 	if err != nil {
-		p.countUpstreamError()
-		if qualifyingFailure(err) {
-			p.breaker.Failure(st.host)
-		}
 		return p.degrade(st, now, err)
 	}
-	p.breaker.Success(st.host)
-
-	key := st.key
-
+	var o outcome
 	var out *httpwire.Response
+	lm, _ := resp.LastModified()
+	lmDate, ct := resp.Header.Get("Last-Modified"), resp.Header.Get("Content-Type")
 	switch {
 	case resp.Status == 226 && st.hit:
 		// Delta response: reconstruct the new version from the cached
 		// body and the patch (§4, ref [23]).
-		newBody, lm, err := applyDelta(st.cachedBody, resp)
+		newBody, err := applyDelta(st.cachedBody, resp)
 		if err != nil {
 			// A malformed delta falls back to a plain refetch next
 			// time; serve the stale copy rather than failing the
 			// client.
-			p.c.upstreamErrors.Inc()
-			out = serveCopy(st.cachedBody, st.cachedLM, st.cachedLMDate, st.cachedCT)
+			o, out = outBadUpstream, st.cached()
 			break
 		}
-		p.c.validations.Inc()
-		p.c.deltaUpdates.Inc()
 		p.c.deltaBytesSaved.Add(int64(len(newBody) - len(resp.Body)))
-		ct := resp.Header.Get("Content-Type")
 		if ct == "" {
 			// The delta carries the patched body of the same resource:
 			// its type is the cached copy's.
 			ct = st.cachedCT
 		}
-		lmDate := resp.Header.Get("Last-Modified")
-		e := cache.Entry{
-			URL:              key,
-			Size:             int64(len(newBody)),
-			LastModified:     lm,
-			LastModifiedHTTP: lmDate,
-			Expires:          now + p.delta(key),
-			FetchedAt:        now,
-			Body:             newBody,
-			ContentType:      ct,
-		}
-		if p.fresh != nil {
-			p.fresh.Observe(key, lm)
-		}
-		p.cache.Put(e, now)
-		out = serveCopy(newBody, lm, lmDate, ct)
+		o, out = outDelta, p.admit(st.key, newBody, lm, lmDate, ct, now, false)
 	case resp.Status == 304 && st.hit:
-		p.c.validations.Inc()
-		p.c.notModified.Inc()
-		p.cache.Freshen(key, now+p.delta(key))
+		p.cache.Freshen(st.key, now+p.delta(st.key))
 		// Serve the validated copy, not whatever the cache holds now —
 		// a concurrent fetch may have replaced the entry since lookup.
-		out = serveCopy(st.cachedBody, st.cachedLM, st.cachedLMDate, st.cachedCT)
+		o, out = outRevalidated, st.cached()
 	case resp.Status == 200:
+		o = outMiss
 		if st.hit {
-			p.c.validations.Inc()
-		} else {
-			p.c.missFetches.Inc()
+			o = outRefetched
 		}
-		lm, _ := resp.LastModified()
-		ct := resp.Header.Get("Content-Type")
-		lmDate := resp.Header.Get("Last-Modified")
-		e := cache.Entry{
-			URL:              key,
-			Size:             int64(len(resp.Body)),
-			LastModified:     lm,
-			LastModifiedHTTP: lmDate,
-			Expires:          now + p.delta(key),
-			FetchedAt:        now,
-			Body:             resp.Body,
-			ContentType:      ct,
-		}
-		if p.fresh != nil {
-			p.fresh.Observe(key, lm)
-		}
-		p.cache.Put(e, now)
-		out = serveCopy(resp.Body, lm, lmDate, ct)
+		out = p.admit(st.key, resp.Body, lm, lmDate, ct, now, false)
 	case resp.Status == 304 || resp.Status == 226:
 		// Conditional-only statuses for a request that carried no
 		// condition (or no cached base for a delta): the origin is
 		// confused; a client that sent a plain GET cannot interpret
 		// them, so surface a gateway error instead of forwarding.
-		p.c.upstreamErrors.Inc()
-		out = httpwire.NewResponse(502)
+		o, out = outBadUpstream, httpwire.NewResponse(502)
 	default:
 		// Pass other statuses through without caching.
-		out = httpwire.NewResponse(resp.Status)
+		o, out = outPassthrough, httpwire.NewResponse(resp.Status)
 		out.Body = resp.Body
 	}
-	out.Header.Set("X-Cache", "MISS")
 
 	if m, ok := httpwire.ExtractPiggyback(resp); ok {
 		p.processPiggyback(st.host, m, now)
@@ -736,24 +692,82 @@ func (p *Proxy) fetch(ctx context.Context, st upstreamState, now int64) *httpwir
 			p.enqueuePropagation(st.host, m, now)
 		}
 	}
-	return out
+	return o, out
+}
+
+// errResolve marks a failed Resolve: no exchange was attempted, and the
+// request fails with 502 even when a stale copy is at hand. The resolver's
+// error is kept as text (%v) so it never matches a wire error class.
+var errResolve = errors.New("proxy: resolve")
+
+// upstream is the origin leg of every fetch and prefetch: it resolves host
+// and runs the guarded exchange, counting each failure except an open
+// circuit as an upstream error.
+func (p *Proxy) upstream(ctx context.Context, host string, req *httpwire.Request) (*httpwire.Response, error) {
+	addr, err := p.cfg.Resolve(host)
+	if err != nil {
+		p.c.upstreamErrors.Inc()
+		return nil, fmt.Errorf("%w %s: %v", errResolve, host, err)
+	}
+	resp, err := exchange(ctx, p.client, p.breaker, host, addr, req)
+	if err != nil && !errors.Is(err, wireerr.ErrCircuitOpen) {
+		p.c.upstreamErrors.Inc()
+	}
+	return resp, err
+}
+
+// exchange is the one breaker-guarded upstream call, shared by origin
+// fetches, prefetches, peer forwards and peer propagation: an open circuit
+// for key refuses without dialing (ErrCircuitOpen), a completed exchange
+// closes it whatever its status, and any failure but the caller's own
+// cancellation counts against it.
+func exchange(ctx context.Context, client *httpwire.Client, b *breaker, key, addr string, req *httpwire.Request) (*httpwire.Response, error) {
+	if !b.Allow(key) {
+		client.Obs.CountErrClass("circuit_open")
+		return nil, wireerr.ErrCircuitOpen
+	}
+	resp, err := client.DoContext(ctx, addr, req)
+	if err != nil {
+		if qualifyingFailure(err) {
+			b.Failure(key)
+		}
+		return nil, err
+	}
+	b.Success(key)
+	return resp, nil
+}
+
+// admit is the one store step: it caches body as key's new entry, feeds
+// the freshness estimator, and returns the response serving it.
+func (p *Proxy) admit(key string, body []byte, lm int64, lmDate, ct string, now int64, prefetched bool) *httpwire.Response {
+	e := cache.Entry{
+		URL:              key,
+		Size:             int64(len(body)),
+		LastModified:     lm,
+		LastModifiedHTTP: lmDate,
+		Expires:          now + p.delta(key),
+		FetchedAt:        now,
+		Body:             body,
+		ContentType:      ct,
+		Prefetched:       prefetched,
+	}
+	if p.fresh != nil {
+		p.fresh.Observe(key, lm)
+	}
+	p.cache.Put(e, now)
+	return serveCopy(body, lm, lmDate, ct)
 }
 
 // applyDelta reconstructs the new body from a 226 response.
-func applyDelta(cachedBody []byte, resp *httpwire.Response) (body []byte, lastModified int64, err error) {
+func applyDelta(cachedBody []byte, resp *httpwire.Response) ([]byte, error) {
 	if !strings.EqualFold(strings.TrimSpace(resp.Header.Get("IM")), "blockdiff") {
-		return nil, 0, fmt.Errorf("proxy: 226 without IM: blockdiff")
+		return nil, fmt.Errorf("proxy: 226 without IM: blockdiff")
 	}
 	patch, err := delta.Decode(resp.Body)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	body, err = delta.Apply(cachedBody, patch)
-	if err != nil {
-		return nil, 0, err
-	}
-	lm, _ := resp.LastModified()
-	return body, lm, nil
+	return delta.Apply(cachedBody, patch)
 }
 
 // serveCopy builds a 200 response from a body, Last-Modified, and
@@ -776,8 +790,6 @@ func serveCopy(body []byte, lastModified int64, lmDate, contentType string) *htt
 	return resp
 }
 
-func (p *Proxy) countUpstreamError() { p.c.upstreamErrors.Inc() }
-
 // qualifyingFailure reports whether an upstream error should feed the
 // circuit breaker. Caller cancellation is the client's fault, not the
 // origin's.
@@ -791,19 +803,15 @@ func qualifyingFailure(err error) bool {
 // copy that expired no more than MaxStaleOnError seconds ago is served
 // with X-Cache: STALE and Warning: 110 rather than failing the client.
 // With no servable copy, timeouts map to 504 and everything else to 502.
-func (p *Proxy) degrade(st upstreamState, now int64, err error) *httpwire.Response {
-	if st.hit && p.cfg.MaxStaleOnError >= 0 && !errors.Is(err, wireerr.ErrCanceled) &&
+func (p *Proxy) degrade(st upstreamState, now int64, err error) (outcome, *httpwire.Response) {
+	if st.hit && p.cfg.MaxStaleOnError >= 0 && qualifyingFailure(err) && !errors.Is(err, errResolve) &&
 		now <= st.cachedExpires+p.cfg.MaxStaleOnError {
-		p.c.staleServes.Inc()
-		out := serveCopy(st.cachedBody, st.cachedLM, st.cachedLMDate, st.cachedCT)
-		out.Header.Set("X-Cache", "STALE")
-		out.Header.Set("Warning", `110 - "Response is Stale"`)
-		return out
+		return outStale, st.cached()
 	}
 	if errors.Is(err, wireerr.ErrRequestTimeout) || errors.Is(err, wireerr.ErrDialTimeout) {
-		return httpwire.NewResponse(504)
+		return outFailed, httpwire.NewResponse(504)
 	}
-	return httpwire.NewResponse(502)
+	return outFailed, httpwire.NewResponse(502)
 }
 
 // delta returns the freshness interval for key.
@@ -882,7 +890,7 @@ func (p *Proxy) DrainPrefetchesContext(ctx context.Context, max int) int {
 		if p.cache.Contains(key) {
 			continue
 		}
-		if _, shared := p.joinFlight(ctx, key); shared {
+		if _, _, shared := p.joinFlight(ctx, key); shared {
 			// Another drain or a client miss is already fetching this
 			// key; its Put will populate the cache.
 			continue
@@ -898,51 +906,23 @@ func (p *Proxy) DrainPrefetchesContext(ctx context.Context, max int) int {
 
 // prefetchOne runs one speculative origin fetch as a flight leader. It
 // always returns a response for the flight's waiters (a joined client miss
-// is served the prefetched body) and reports whether a 200 was cached.
+// is served the prefetched body) and reports whether a 200 was cached. An
+// open circuit refuses it like any other exchange, so a tripped host burns
+// no speculative fetches.
 func (p *Proxy) prefetchOne(ctx context.Context, it FetchItem, key string, now int64) (*httpwire.Response, bool) {
-	if !p.breaker.Allow(it.Host) {
-		// Don't burn speculative fetches against a tripped host.
-		p.client.Obs.CountErrClass("circuit_open")
-		return httpwire.NewResponse(502), false
-	}
-	addr, err := p.cfg.Resolve(it.Host)
-	if err != nil {
-		p.countUpstreamError()
-		return httpwire.NewResponse(502), false
-	}
 	oreq := httpwire.NewRequest("GET", it.URL)
 	oreq.Header.Set("Host", it.Host)
 	httpwire.SetFilter(oreq, core.Filter{Disabled: true})
-	resp, err := p.client.DoContext(ctx, addr, oreq)
+	resp, err := p.upstream(ctx, it.Host, oreq)
 	if err != nil {
-		p.countUpstreamError()
-		if qualifyingFailure(err) {
-			p.breaker.Failure(it.Host)
-		}
 		return httpwire.NewResponse(502), false
 	}
-	p.breaker.Success(it.Host)
 	if resp.Status != 200 {
 		out := httpwire.NewResponse(resp.Status)
 		out.Body = resp.Body
 		return out, false
 	}
-	lm, _ := resp.LastModified()
-	ct := resp.Header.Get("Content-Type")
-	lmDate := resp.Header.Get("Last-Modified")
 	p.c.prefetches.Inc()
-	p.cache.Put(cache.Entry{
-		URL:              key,
-		Size:             int64(len(resp.Body)),
-		LastModified:     lm,
-		LastModifiedHTTP: lmDate,
-		Expires:          now + p.delta(key),
-		FetchedAt:        now,
-		Body:             resp.Body,
-		ContentType:      ct,
-		Prefetched:       true,
-	}, now)
-	out := serveCopy(resp.Body, lm, lmDate, ct)
-	out.Header.Set("X-Cache", "MISS")
-	return out, true
+	lm, _ := resp.LastModified()
+	return p.admit(key, resp.Body, lm, resp.Header.Get("Last-Modified"), resp.Header.Get("Content-Type"), now, true), true
 }

@@ -225,9 +225,9 @@ func TestProxyPrefetchQueueAndDrain(t *testing.T) {
 }
 
 func TestProxyAdaptiveFreshness(t *testing.T) {
-	tb := newTestbed(t, Config{Delta: 600, AdaptiveFreshness: true, MinDelta: 60, MaxDelta: 86400})
+	tb := newTestbed(t, Config{Delta: 600, AdaptiveFreshness: true})
 	// Modifications ~100s apart teach the estimator a short change
-	// interval => Δ well below the 600s default (clamped at MinDelta).
+	// interval => Δ well below the 600s default (clamped at Delta/10).
 	tb.store.Modify("/a/x.html", tb.now-100, 0)
 	tb.get(t, "www.site.com/a/x.html")
 	tb.store.Modify("/a/x.html", tb.now, 0)
@@ -241,7 +241,7 @@ func TestProxyAdaptiveFreshness(t *testing.T) {
 		t.Errorf("adaptive Δ = %d, want < default for fast-changing resource", d)
 	}
 	if d < 60 {
-		t.Errorf("adaptive Δ = %d, below MinDelta", d)
+		t.Errorf("adaptive Δ = %d, below Delta/10", d)
 	}
 }
 
@@ -291,7 +291,7 @@ func TestProxyUpstreamErrorIs502(t *testing.T) {
 }
 
 func TestProxyEvictionUnderPressure(t *testing.T) {
-	tb := newTestbed(t, Config{Delta: 600, CacheBytes: 150, Policy: cache.LRU{}})
+	tb := newTestbed(t, Config{Delta: 600, Store: cache.NewSharded(150, 0, cache.PolicyFactory(cache.LRU{}))})
 	tb.get(t, "www.site.com/a/x.html") // 100 bytes
 	tb.now++
 	tb.get(t, "www.site.com/a/y.gif") // 50 bytes: fits alongside

@@ -247,8 +247,8 @@ type (
 	PeerTracker = peer.Tracker
 )
 
-// DefaultPeerVNodes is the virtual-node count per peer when
-// ProxyConfig.PeerVNodes is zero.
+// DefaultPeerVNodes is the virtual-node count per peer on a proxy's ring,
+// and on NewPeerRing's when vnodes <= 0.
 const DefaultPeerVNodes = peer.DefaultVNodes
 
 // NewPeerRing builds a consistent-hash ring over the given peer addresses;
