@@ -59,9 +59,11 @@ func BenchmarkTieredPromote(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Demote synchronously (bypassing the queue keeps the benchmark
-		// deterministic) and promote via the public lookup path.
-		ts.demoteOne(&e)
+		// Demote synchronously (handling the item here instead of on the
+		// writer keeps the benchmark deterministic) and promote via the
+		// public lookup path.
+		ts.queued.Add(1)
+		ts.handle(demoteItem{e: e, seq: ts.evictSeq.Add(1)})
 		ts.RAM().Delete(e.URL)
 		if _, ok := ts.Lookup(e.URL, now); !ok {
 			b.Fatal("promotion missed")

@@ -191,7 +191,8 @@ func (d *diskTier) encode(e *cache.Entry) []byte {
 }
 
 // decode parses one record. It returns false on any framing or CRC
-// mismatch; the caller drops the index entry.
+// mismatch; the caller drops the index entry. The entry's body aliases b,
+// so b must be a buffer the caller hands over and never reuses.
 func decode(b []byte) (cache.Entry, bool) {
 	if len(b) < recHdrLen+recTail || binary.LittleEndian.Uint32(b[0:]) != recMagic {
 		return cache.Entry{}, false
@@ -222,7 +223,7 @@ func decode(b []byte) (cache.Entry, bool) {
 	p += ctLen
 	e.LastModifiedHTTP = string(b[p : p+lmdLen])
 	p += lmdLen
-	e.Body = append([]byte(nil), b[p:p+bodyLen]...)
+	e.Body = b[p : p+bodyLen : p+bodyLen]
 	return e, true
 }
 

@@ -2,6 +2,7 @@ package tiered
 
 import (
 	"log"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -54,6 +55,8 @@ func DefaultDemote(e *cache.Entry, now int64) bool {
 type demoteItem struct {
 	e   cache.Entry
 	now int64
+	// seq orders the eviction against later supersessions of its URL.
+	seq uint64
 	// flush, when non-nil, marks a synchronization barrier instead of a
 	// demotion: the writer closes it once every earlier item is on disk
 	// and maintenance has run.
@@ -80,7 +83,19 @@ type Tiered struct {
 	cfg  Config
 	disk *diskTier // nil in RAM-only mode
 
-	mu sync.Mutex // guards disk
+	mu sync.Mutex // guards disk and superseded
+
+	// evictSeq numbers queued demotions; queued counts those the writer
+	// has not handled yet. superseded holds, per URL, the evictSeq value
+	// at the URL's latest Put, Delete or piggyback invalidation while
+	// demotions were queued, and the Last-Modified below which a queued
+	// copy counts as outdated. The writer skips a queued copy it
+	// outdates, so a demotion that lands late never resurrects a version
+	// the origin or the caller replaced. The map empties whenever the
+	// queue drains.
+	evictSeq   atomic.Uint64
+	queued     atomic.Int64
+	superseded map[string]supersession
 
 	demoteQ chan demoteItem
 	kick    chan struct{} // wakes the writer for post-promotion maintenance
@@ -99,12 +114,31 @@ type Tiered struct {
 
 var _ cache.Store = (*Tiered)(nil)
 
+// supersession marks a URL's queued demotions up to seq whose entry is
+// older than lm as outdated.
+type supersession struct {
+	seq uint64
+	lm  int64
+}
+
 // New layers a disk tier under ram. With cfg.Dir == "" it returns a
 // RAM-only wrapper (no files, no goroutine). Otherwise it opens the
 // segment directory, loads the index snapshot when a valid one exists
 // (restart-warm), installs the demotion hook on ram, and starts the
 // background writer.
 func New(ram *cache.Sharded, cfg Config) (*Tiered, error) {
+	t, err := open(ram, cfg)
+	if err != nil || t.disk == nil {
+		return t, err
+	}
+	t.wg.Add(1)
+	go t.writer()
+	return t, nil
+}
+
+// open is New without the writer goroutine: queued demotions wait until
+// something calls handle.
+func open(ram *cache.Sharded, cfg Config) (*Tiered, error) {
 	if cfg.DiskBytes <= 0 {
 		cfg.DiskBytes = 256 << 20
 	}
@@ -135,9 +169,8 @@ func New(ram *cache.Sharded, cfg Config) (*Tiered, error) {
 	t.demoteQ = make(chan demoteItem, cfg.QueueLen)
 	t.kick = make(chan struct{}, 1)
 	t.stop = make(chan struct{})
+	t.superseded = make(map[string]supersession)
 	ram.SetEvictObserver(t.observeEvict)
-	t.wg.Add(1)
-	go t.writer()
 	return t, nil
 }
 
@@ -151,10 +184,13 @@ func (t *Tiered) observeEvict(e *cache.Entry, now int64) {
 	if !t.cfg.Demote(e, now) {
 		return
 	}
+	t.queued.Add(1)
 	select {
-	case t.demoteQ <- demoteItem{e: *e, now: now}:
+	case t.demoteQ <- demoteItem{e: *e, now: now, seq: t.evictSeq.Add(1)}:
 	case <-t.stop:
+		t.queued.Add(-1)
 	default:
+		t.queued.Add(-1)
 		t.drops.Add(1)
 		if c := t.obsC.Load(); c != nil {
 			c.drops.Inc()
@@ -191,7 +227,32 @@ func (t *Tiered) handle(it demoteItem) {
 		close(it.flush)
 		return
 	}
-	t.demoteOne(&it.e)
+	t.mu.Lock()
+	m, marked := t.superseded[it.e.URL]
+	outdated := marked && it.seq <= m.seq && it.e.LastModified < m.lm
+	ok := !outdated && t.disk.append(&it.e)
+	if t.queued.Add(-1) == 0 {
+		clear(t.superseded)
+	}
+	t.mu.Unlock()
+	if ok {
+		t.demotions.Add(1)
+		if c := t.obsC.Load(); c != nil {
+			c.demotions.Inc()
+		}
+	}
+	t.maintain()
+}
+
+// supersedeLocked outdates url's queued demotions with Last-Modified
+// below lm. Callers hold t.mu and have already changed the RAM tier, so
+// every eviction of the replaced copy has taken its sequence number.
+func (t *Tiered) supersedeLocked(url string, lm int64) {
+	if t.queued.Load() == 0 {
+		return
+	}
+	m := t.superseded[url]
+	t.superseded[url] = supersession{seq: t.evictSeq.Load(), lm: max(m.lm, lm)}
 }
 
 // Flush blocks until every demotion enqueued before the call is on disk
@@ -211,19 +272,6 @@ func (t *Tiered) Flush() {
 		}
 	case <-t.stop:
 	}
-}
-
-func (t *Tiered) demoteOne(e *cache.Entry) {
-	t.mu.Lock()
-	ok := t.disk.append(e)
-	t.mu.Unlock()
-	if ok {
-		t.demotions.Add(1)
-		if c := t.obsC.Load(); c != nil {
-			c.demotions.Inc()
-		}
-	}
-	t.maintain()
 }
 
 // maintain runs disk-tier upkeep and syncs the telemetry gauges.
@@ -335,24 +383,28 @@ func (t *Tiered) Contains(url string) bool {
 }
 
 // Put inserts into the RAM tier (demotion of displaced entries happens
-// via the eviction hook). A stale disk copy of the same URL is dropped so
-// the tiers never disagree about a key's version.
+// via the eviction hook). A stale disk copy of the same URL is dropped,
+// and so is a queued demotion of one, so the tiers never disagree about
+// a key's version.
 func (t *Tiered) Put(e cache.Entry, now int64) []string {
+	evicted := t.ram.Put(e, now)
 	if t.disk != nil {
 		t.mu.Lock()
 		t.disk.dropIndexed(e.URL)
+		t.supersedeLocked(e.URL, math.MaxInt64)
 		t.mu.Unlock()
 	}
-	return t.ram.Put(e, now)
+	return evicted
 }
 
 // Delete removes url from both tiers. Deletion is invalidation: the disk
-// copy is dropped, not demoted to.
+// copy is dropped, not demoted to, and a queued demotion never lands.
 func (t *Tiered) Delete(url string) bool {
 	ok := t.ram.Delete(url)
 	if t.disk != nil {
 		t.mu.Lock()
 		dok := t.disk.dropIndexed(url)
+		t.supersedeLocked(url, math.MaxInt64)
 		t.mu.Unlock()
 		ok = ok || dok
 	}
@@ -404,7 +456,9 @@ func (t *Tiered) diskContains(url string) bool {
 
 // ApplyPiggyback applies one piggyback element to whichever tier holds
 // the entry: the RAM tier's shard-local critical section first, then the
-// disk index (invalidate an outdated record, freshen a current one).
+// disk index (invalidate an outdated record, freshen a current one). When
+// both miss, a queued demotion of a copy older than lastModified is
+// outdated too.
 func (t *Tiered) ApplyPiggyback(url string, lastModified, freshenTo, pinUntil, now int64) cache.PiggybackOutcome {
 	out := t.ram.ApplyPiggyback(url, lastModified, freshenTo, pinUntil, now)
 	if out != cache.PiggybackMiss || t.disk == nil {
@@ -412,6 +466,9 @@ func (t *Tiered) ApplyPiggyback(url string, lastModified, freshenTo, pinUntil, n
 	}
 	t.mu.Lock()
 	out = t.disk.applyPiggyback(url, lastModified, freshenTo)
+	if out == cache.PiggybackMiss {
+		t.supersedeLocked(url, lastModified)
+	}
 	t.mu.Unlock()
 	return out
 }

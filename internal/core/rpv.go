@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -14,6 +15,10 @@ import (
 // Entries expire after Timeout seconds and the list holds at most MaxLen
 // entries (oldest evicted first, FIFO). An RPVList is not safe for
 // concurrent use; RPVTable provides the synchronized per-server map.
+//
+// Concurrent responses note their piggybacks with each request's start
+// time, so Note calls arrive out of time order: FIFO position is arrival
+// order, not seen order, and expiry checks every entry.
 type RPVList struct {
 	// Timeout is the entry lifetime in seconds. It must not exceed the
 	// cache's freshness interval Δ, "since this would preclude the
@@ -23,7 +28,7 @@ type RPVList struct {
 	// MaxLen caps the number of entries; zero means 32.
 	MaxLen int
 
-	entries []rpvEntry // FIFO: oldest first
+	entries []rpvEntry // FIFO: first noted first
 }
 
 type rpvEntry struct {
@@ -46,13 +51,14 @@ func (l *RPVList) maxLen() int {
 
 // Note records that a piggyback for volume id arrived at time now. An
 // existing entry for the same volume is refreshed (and moved to the back of
-// the FIFO).
+// the FIFO); a late note with an earlier time never moves its seen time
+// backwards.
 func (l *RPVList) Note(id VolumeID, now int64) {
 	l.expire(now)
 	for i := range l.entries {
-		if l.entries[i].id == id {
+		if e := l.entries[i]; e.id == id {
 			copy(l.entries[i:], l.entries[i+1:])
-			l.entries[len(l.entries)-1] = rpvEntry{id: id, seen: now}
+			l.entries[len(l.entries)-1] = rpvEntry{id: id, seen: max(e.seen, now)}
 			return
 		}
 	}
@@ -94,17 +100,12 @@ func (l *RPVList) Len(now int64) int {
 	return len(l.entries)
 }
 
+// expire drops every entry at least Timeout old, wherever it sits.
 func (l *RPVList) expire(now int64) {
 	if l.Timeout <= 0 {
 		return
 	}
-	cut := 0
-	for cut < len(l.entries) && now-l.entries[cut].seen >= l.Timeout {
-		cut++
-	}
-	if cut > 0 {
-		l.entries = append(l.entries[:0], l.entries[cut:]...)
-	}
+	l.entries = slices.DeleteFunc(l.entries, func(e rpvEntry) bool { return now-e.seen >= l.Timeout })
 }
 
 // RPVTable maintains RPV lists for the servers a proxy talks to, "as FIFO

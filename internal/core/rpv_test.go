@@ -59,6 +59,24 @@ func TestRPVRefreshMovesToBack(t *testing.T) {
 	}
 }
 
+// TestRPVOutOfOrderNotes: notes stamped with request start times arrive
+// out of order. An expired entry behind a live one must still leave the
+// filter, and a late note must not make an entry older.
+func TestRPVOutOfOrderNotes(t *testing.T) {
+	l := NewRPVList(900, 8)
+	l.Note(1, 100) // A
+	l.Note(2, 50)  // B, from a request that started earlier
+	if got := l.Snapshot(960); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("Snapshot(960) = %v, want [1]: B is 910 s old", got)
+	}
+
+	l.Note(3, 500)
+	l.Note(3, 200) // late note for an older request
+	if !l.Contains(3, 1300) {
+		t.Fatal("late note moved seen backwards: 3 expired 800 s after its newest note")
+	}
+}
+
 func TestRPVTimeoutMustNotExceedFreshness(t *testing.T) {
 	// The timeout bounds how long refreshes are suppressed: a volume
 	// noted at t is absent from snapshots at t+Timeout, so the server

@@ -9,7 +9,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -44,8 +46,43 @@ type Log []Record
 // SortByTime orders the log by timestamp, preserving the relative order of
 // records with equal timestamps (stable, so per-source request order within
 // one second survives).
+//
+// It sorts a permutation of record indices keyed on (Time, index) — the
+// index tie-break is what makes the order stable — and then moves each
+// record once, in place, by following the permutation's cycles. That is
+// O(n log n) compares on 4-byte indices and n record moves, where a stable
+// sort over the records themselves moves them O(n log² n) times.
 func (l Log) SortByTime() {
-	sort.SliceStable(l, func(i, j int) bool { return l[i].Time < l[j].Time })
+	perm := make([]int32, len(l))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp.Compare(l[a].Time, l[b].Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	// Position i takes the record at perm[i]. Walk each cycle from its
+	// first position, marking positions done by pointing them at
+	// themselves.
+	for i := range perm {
+		if perm[i] == int32(i) {
+			continue
+		}
+		held := l[i]
+		j := i
+		for {
+			k := int(perm[j])
+			perm[j] = int32(j)
+			if k == i {
+				l[j] = held
+				break
+			}
+			l[j] = l[k]
+			j = k
+		}
+	}
 }
 
 // Clients returns the number of distinct sources in the log.

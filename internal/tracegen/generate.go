@@ -22,28 +22,27 @@ func GenerateServerLog(cfg SiteConfig) (trace.Log, *Site) {
 
 	pageZipf := NewZipf(rng, cfg.ZipfPages, len(site.Pages))
 	clientZipf := NewZipf(rng, cfg.ZipfClients, cfg.Clients)
-	caches := make(map[string]map[string]int64)
-	lastEnd := make(map[string]int64)
+	clients := make(clientStates, clientZipf.N())
 
 	log := make(trace.Log, 0, cfg.Requests+cfg.Requests/8)
 	for len(log) < cfg.Requests {
-		client := fmt.Sprintf("c%05d", clientZipf.Next())
+		c := clients.at(clientZipf.Next())
 		// Sources are proxies fronting user populations: activity
 		// clusters, so a fair share of sessions start within a couple
 		// of hours of the source's previous one — producing the
 		// repeat-access spacing of Table 1.
 		var start int64
-		if prev, ok := lastEnd[client]; ok && rng.Float64() < cfg.SessionReturnProb {
-			start = prev + int64(expDuration(rng, cfg.ReturnGapMean, 60))
+		if c.hasLastEnd && rng.Float64() < cfg.SessionReturnProb {
+			start = c.lastEnd + int64(expDuration(rng, cfg.ReturnGapMean, 60))
 			if start >= cfg.StartTime+cfg.Duration {
 				start = diurnalStart(rng, &cfg)
 			}
 		} else {
 			start = diurnalStart(rng, &cfg)
 		}
-		log = appendSession(log, site, rng, client, start, pageZipf, clientCache(caches, client))
+		log = appendSession(log, site, rng, c, start, pageZipf)
 		if len(log) > 0 {
-			lastEnd[client] = log[len(log)-1].Time
+			c.lastEnd, c.hasLastEnd = log[len(log)-1].Time, true
 		}
 	}
 	if len(log) > cfg.Requests {
@@ -69,19 +68,36 @@ func diurnalStart(rng *rand.Rand, cfg *SiteConfig) int64 {
 	}
 }
 
-func clientCache(caches map[string]map[string]int64, client string) map[string]int64 {
-	c, ok := caches[client]
-	if !ok {
-		c = make(map[string]int64)
-		caches[client] = c
+// clientState is one source's generator state.
+type clientState struct {
+	// name is the rendered client id, "c" and the zero-padded rank.
+	name string
+	// lastFetch is the client's last fetch time per resource, modeling
+	// the downstream browser/proxy cache that keeps most quick repeats
+	// out of real server logs.
+	lastFetch map[*Resource]int64
+	// lastEnd is the time of the log's last record when the client's
+	// latest session ended: that session's last request, or an earlier
+	// one when the session emitted none. hasLastEnd is false until set.
+	lastEnd    int64
+	hasLastEnd bool
+}
+
+// clientStates holds per-client state indexed by the client's Zipf rank.
+type clientStates []clientState
+
+// at returns rank i's state, setting it up on the client's first session.
+func (cs clientStates) at(i int) *clientState {
+	c := &cs[i]
+	if c.lastFetch == nil {
+		c.name = fmt.Sprintf("c%05d", i)
+		c.lastFetch = make(map[*Resource]int64)
 	}
 	return c
 }
 
-// appendSession simulates one browsing session. cache holds the client's
-// last fetch time per URL, modeling the downstream browser/proxy cache that
-// keeps most quick repeats out of real server logs.
-func appendSession(log trace.Log, site *Site, rng *rand.Rand, client string, start int64, pageZipf *Zipf, cache map[string]int64) trace.Log {
+// appendSession simulates one browsing session by client c.
+func appendSession(log trace.Log, site *Site, rng *rand.Rand, c *clientState, start int64, pageZipf *Zipf) trace.Log {
 	cfg := &site.Config
 	now := float64(start)
 	pageIdx := pageZipf.Next()
@@ -89,7 +105,7 @@ func appendSession(log trace.Log, site *Site, rng *rand.Rand, client string, sta
 
 	emit := func(t int64, res *Resource, embedded bool) {
 		if cfg.ClientCacheTTL > 0 {
-			if last, ok := cache[res.URL]; ok {
+			if last, ok := c.lastFetch[res]; ok {
 				gap := t - last
 				if gap < 0 {
 					gap = -gap // sessions are generated out of order
@@ -99,8 +115,8 @@ func appendSession(log trace.Log, site *Site, rng *rand.Rand, client string, sta
 				}
 			}
 		}
-		cache[res.URL] = t
-		log = append(log, requestRecord(site, rng, client, t, res, embedded))
+		c.lastFetch[res] = t
+		log = append(log, requestRecord(site, rng, c.name, t, res, embedded))
 	}
 
 	for {
@@ -236,18 +252,18 @@ func GenerateClientLog(cfg ClientLogConfig) (trace.Log, map[string]*Site) {
 	}
 	serverZipf := NewZipf(rng, cfg.ZipfServers, cfg.Servers)
 	clientZipf := NewZipf(rng, 0.9, cfg.Clients)
-	caches := make(map[string]map[string]int64)
+	clients := make(clientStates, clientZipf.N())
 
 	log := make(trace.Log, 0, cfg.Requests+cfg.Requests/8)
 	for len(log) < cfg.Requests {
-		client := fmt.Sprintf("c%05d", clientZipf.Next())
+		c := clients.at(clientZipf.Next())
 		start := cfg.StartTime + int64(rng.Int63n(cfg.Duration))
 		// A session may visit a few servers in sequence.
 		now := start
 		for hop := 0; hop == 0 || (hop < 4 && rng.Float64() < 0.3); hop++ {
 			si := serverZipf.Next()
 			site := sites[hosts[si]]
-			log = appendSession(log, site, hostRngs[si], client, now, hostPages[si], clientCache(caches, client))
+			log = appendSession(log, site, hostRngs[si], c, now, hostPages[si])
 			if len(log) > 0 {
 				now = log[len(log)-1].Time + int64(expDuration(rng, 45, 2))
 			}
