@@ -34,7 +34,12 @@ import (
 	"syscall"
 	"time"
 
-	"piggyback"
+	"piggyback/internal/cache"
+	"piggyback/internal/cache/tiered"
+	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
+	"piggyback/internal/obs"
+	"piggyback/internal/proxy"
 )
 
 func main() {
@@ -57,9 +62,9 @@ func main() {
 	peerTimeout := flag.Duration("peer-timeout", 0, "peer exchange timeout (0: 5s)")
 	diskDir := flag.String("disk-dir", "", "directory for the disk cache tier (empty: RAM only); reopening the same directory restarts warm")
 	diskCap := flag.Int64("disk-cap", 256<<20, "disk tier capacity in bytes")
-	pprofOn := flag.Bool("pprof", false, "serve runtime profiles on "+piggyback.PprofPathPrefix)
+	pprofOn := flag.Bool("pprof", false, "serve runtime profiles on "+httpwire.PprofPathPrefix)
 	flag.Parse()
-	piggyback.EnablePprof(*pprofOn)
+	httpwire.EnablePprof(*pprofOn)
 
 	var peerList []string
 	self := ""
@@ -87,10 +92,10 @@ func main() {
 	// With -disk-dir, serve from a tiered store: the RAM tier demotes
 	// eviction-worthy entries to segment files there, and the proxy's
 	// Close (on SIGTERM) snapshots the index so the next run serves warm.
-	var store piggyback.CacheStore
+	var store cache.Store
 	if *diskDir != "" {
-		ram := piggyback.NewShardedCache(*cacheBytes, *shards, nil)
-		ts, err := piggyback.NewTieredCache(ram, piggyback.TieredCacheConfig{
+		ram := cache.NewSharded(*cacheBytes, *shards, nil)
+		ts, err := tiered.New(ram, tiered.Config{
 			Dir: *diskDir, DiskBytes: *diskCap,
 		})
 		if err != nil {
@@ -99,12 +104,12 @@ func main() {
 		store = ts
 	}
 
-	px := piggyback.NewProxy(piggyback.ProxyConfig{
+	px := proxy.New(proxy.Config{
 		Store:             store,
 		CacheBytes:        *cacheBytes,
 		CacheShards:       *shards,
 		Delta:             *delta,
-		BaseFilter:        piggyback.Filter{MaxPiggy: *maxPiggy},
+		BaseFilter:        core.Filter{MaxPiggy: *maxPiggy},
 		Clock:             func() int64 { return time.Now().Unix() },
 		Resolve:           func(host string) (string, error) { return *origin, nil },
 		Prefetch:          *prefetch,
@@ -150,8 +155,8 @@ func main() {
 		}()
 	}
 
-	srv := &piggyback.WireServer{Handler: px, ErrorLog: log.New(os.Stderr, "piggyproxy: ", 0),
-		Obs: piggyback.NewWireMetrics(px.Obs(), "wire.server")}
+	srv := &httpwire.Server{Handler: px, ErrorLog: log.New(os.Stderr, "piggyproxy: ", 0),
+		Obs: obs.NewWireMetrics(px.Obs(), "wire.server")}
 	go func() {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)

@@ -17,7 +17,11 @@ import (
 	"syscall"
 	"time"
 
-	"piggyback"
+	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
+	"piggyback/internal/obs"
+	"piggyback/internal/server"
+	"piggyback/internal/tracegen"
 )
 
 func main() {
@@ -26,23 +30,25 @@ func main() {
 	maxPiggy := flag.Int("maxpiggy", 10, "server-side piggyback element cap")
 	pages := flag.Int("pages", 200, "synthetic site size in pages")
 	seed := flag.Int64("seed", 1, "site generation seed")
-	pprofOn := flag.Bool("pprof", false, "serve runtime profiles on "+piggyback.PprofPathPrefix)
+	pprofOn := flag.Bool("pprof", false, "serve runtime profiles on "+httpwire.PprofPathPrefix)
 	flag.Parse()
-	piggyback.EnablePprof(*pprofOn)
+	httpwire.EnablePprof(*pprofOn)
 
 	site := pagesSite(*pages, *seed)
-	store := piggyback.NewStore()
-	piggyback.LoadSite(store, site)
-	vols := piggyback.NewDirVolumes(piggyback.DirConfig{
+	store := server.NewStore()
+	for _, r := range site.ResourceTable() {
+		store.Put(server.Resource{URL: r.URL, Size: r.Size, LastModified: r.LastModifiedAt(site.Config.StartTime)})
+	}
+	vols := core.NewDirVolumes(core.DirConfig{
 		Level:           *level,
 		MTF:             true,
 		ServerMaxPiggy:  *maxPiggy,
 		PartitionByType: true,
 	})
-	origin := piggyback.NewOriginServer(store, vols, func() int64 { return time.Now().Unix() })
+	origin := server.New(store, vols, func() int64 { return time.Now().Unix() })
 
-	srv := &piggyback.WireServer{Handler: origin, ErrorLog: log.New(os.Stderr, "piggyserver: ", 0),
-		Obs: piggyback.NewWireMetrics(origin.Obs(), "wire.server")}
+	srv := &httpwire.Server{Handler: origin, ErrorLog: log.New(os.Stderr, "piggyserver: ", 0),
+		Obs: obs.NewWireMetrics(origin.Obs(), "wire.server")}
 	go handleSignals(func() { srv.Close() })
 
 	fmt.Printf("piggyserver: %d resources, %d-level volumes, listening on %s\n",
@@ -58,8 +64,8 @@ func main() {
 	}
 }
 
-func pagesSite(pages int, seed int64) *piggyback.Site {
-	_, site := piggyback.GenerateServerLog(piggyback.SiteConfig{
+func pagesSite(pages int, seed int64) *tracegen.Site {
+	_, site := tracegen.GenerateServerLog(tracegen.SiteConfig{
 		Name: "piggyserver", Seed: seed, Pages: pages,
 		Dirs: 5 + pages/40, MaxDepth: 3, MeanImagesPerPage: 2.5,
 		Requests: 1, // the site is what we want, not the log

@@ -20,7 +20,10 @@ import (
 	"os"
 	"time"
 
-	"piggyback"
+	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
+	"piggyback/internal/proxy"
+	"piggyback/internal/server"
 	"piggyback/internal/trace"
 )
 
@@ -61,28 +64,28 @@ func main() {
 
 	// Origin: resources discovered from the log itself (the log carries
 	// sizes; Last-Modified defaults to well before the trace).
-	store := piggyback.NewStore()
+	store := server.NewStore()
 	for i := range records {
 		r := &records[i]
 		if _, ok := store.Get(r.URL); !ok && r.Size > 0 {
-			store.Put(piggyback.Resource{URL: r.URL, Size: r.Size, LastModified: r.Time - 86400})
+			store.Put(server.Resource{URL: r.URL, Size: r.Size, LastModified: r.Time - 86400})
 		}
 	}
-	vols := piggyback.NewDirVolumes(piggyback.DirConfig{
+	vols := core.NewDirVolumes(core.DirConfig{
 		Level: *level, MTF: true, ServerMaxPiggy: *maxPiggy, PartitionByType: true,
 	})
-	origin := piggyback.NewOriginServer(store, vols, clock)
+	origin := server.New(store, vols, clock)
 	ol, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	osrv := &piggyback.WireServer{Handler: origin}
+	osrv := &httpwire.Server{Handler: origin}
 	go osrv.Serve(ol)
 	defer osrv.Close()
 
-	px := piggyback.NewProxy(piggyback.ProxyConfig{
+	px := proxy.New(proxy.Config{
 		Delta:      *delta,
-		BaseFilter: piggyback.Filter{MaxPiggy: *maxPiggy},
+		BaseFilter: core.Filter{MaxPiggy: *maxPiggy},
 		Clock:      clock,
 		Resolve:    func(string) (string, error) { return ol.Addr().String(), nil },
 		Prefetch:   *prefetch,
@@ -93,11 +96,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	psrv := &piggyback.WireServer{Handler: px, IdleTimeout: 10 * time.Second}
+	psrv := &httpwire.Server{Handler: px, IdleTimeout: 10 * time.Second}
 	go psrv.Serve(pl)
 	defer psrv.Close()
 
-	client := piggyback.NewWireClient()
+	client := httpwire.NewClient()
 	defer client.Close()
 
 	start := time.Now()
@@ -108,7 +111,7 @@ func main() {
 			continue
 		}
 		now = r.Time
-		req := piggyback.NewWireRequest("GET", "http://replay.local"+r.URL)
+		req := httpwire.NewRequest("GET", "http://replay.local"+r.URL)
 		if _, err := client.DoContext(context.Background(), pl.Addr().String(), req); err != nil {
 			errors++
 			if errors > 10 {

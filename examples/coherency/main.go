@@ -15,7 +15,10 @@ import (
 	"net"
 	"time"
 
-	"piggyback"
+	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
+	"piggyback/internal/proxy"
+	"piggyback/internal/server"
 )
 
 const delta = 900 // freshness interval Δ in seconds
@@ -24,22 +27,22 @@ func main() {
 	now := time.Date(1998, 7, 5, 9, 0, 0, 0, time.UTC).Unix()
 	clock := func() int64 { return now }
 
-	store := piggyback.NewStore()
-	store.Put(piggyback.Resource{URL: "/market/quotes.html", Size: 2000, LastModified: now - 60})
-	store.Put(piggyback.Resource{URL: "/market/index.html", Size: 3000, LastModified: now - 7200})
-	vols := piggyback.NewDirVolumes(piggyback.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10})
-	origin := piggyback.NewOriginServer(store, vols, clock)
+	store := server.NewStore()
+	store.Put(server.Resource{URL: "/market/quotes.html", Size: 2000, LastModified: now - 60})
+	store.Put(server.Resource{URL: "/market/index.html", Size: 3000, LastModified: now - 7200})
+	vols := core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10})
+	origin := server.New(store, vols, clock)
 
 	ol, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	osrv := &piggyback.WireServer{Handler: origin}
+	osrv := &httpwire.Server{Handler: origin}
 	go osrv.Serve(ol)
 	defer osrv.Close()
 
-	newProxy := func(filter piggyback.Filter) (*piggyback.Proxy, string) {
-		px := piggyback.NewProxy(piggyback.ProxyConfig{
+	newProxy := func(filter core.Filter) (*proxy.Proxy, string) {
+		px := proxy.New(proxy.Config{
 			Delta:      delta,
 			RPVTimeout: 60, // §2.2: smaller than Δ improves freshness
 			Clock:      clock,
@@ -50,23 +53,23 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv := &piggyback.WireServer{Handler: px}
+		srv := &httpwire.Server{Handler: px}
 		go srv.Serve(l)
 		return px, l.Addr().String()
 	}
 	// The plain proxy disables piggybacking entirely; the piggybacking
 	// proxy asks for up to 10 elements.
-	plain, plainAddr := newProxy(piggyback.Filter{Disabled: true})
-	piggy, piggyAddr := newProxy(piggyback.Filter{MaxPiggy: 10})
+	plain, plainAddr := newProxy(core.Filter{Disabled: true})
+	piggy, piggyAddr := newProxy(core.Filter{MaxPiggy: 10})
 	defer plain.Close()
 	defer piggy.Close()
 
-	client := piggyback.NewWireClient()
+	client := httpwire.NewClient()
 	defer client.Close()
 
 	// lastModAt answers "what version should a fresh response carry now".
 	get := func(addr, url string) (stale bool) {
-		req := piggyback.NewWireRequest("GET", "http://www.biz.example"+url)
+		req := httpwire.NewRequest("GET", "http://www.biz.example"+url)
 		resp, err := client.DoContext(context.Background(), addr, req)
 		if err != nil {
 			log.Fatal(err)
@@ -98,7 +101,7 @@ func main() {
 		// new Last-Modified of quotes.html.
 		now += 30
 		story := fmt.Sprintf("/market/story-%02d.html", round)
-		store.Put(piggyback.Resource{URL: story, Size: 1500, LastModified: now})
+		store.Put(server.Resource{URL: story, Size: 1500, LastModified: now})
 		get(plainAddr, story)
 		get(piggyAddr, story)
 		serves++

@@ -15,7 +15,9 @@ import (
 	"net"
 	"time"
 
-	"piggyback"
+	"piggyback/internal/httpwire"
+	"piggyback/internal/proxy"
+	"piggyback/internal/server"
 )
 
 const pageSize = 64 << 10 // a hefty 64 kB page
@@ -24,19 +26,19 @@ func main() {
 	now := time.Date(1998, 7, 5, 10, 0, 0, 0, time.UTC).Unix()
 	clock := func() int64 { return now }
 
-	store := piggyback.NewStore()
-	store.Put(piggyback.Resource{URL: "/reports/daily.html", Size: pageSize, LastModified: now - 50})
-	origin := piggyback.NewOriginServer(store, nil, clock)
+	store := server.NewStore()
+	store.Put(server.Resource{URL: "/reports/daily.html", Size: pageSize, LastModified: now - 50})
+	origin := server.New(store, nil, clock)
 	ol, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	osrv := &piggyback.WireServer{Handler: origin}
+	osrv := &httpwire.Server{Handler: origin}
 	go osrv.Serve(ol)
 	defer osrv.Close()
 
-	newProxy := func(delta bool) (*piggyback.Proxy, string) {
-		px := piggyback.NewProxy(piggyback.ProxyConfig{
+	newProxy := func(delta bool) (*proxy.Proxy, string) {
+		px := proxy.New(proxy.Config{
 			Delta:         300,
 			Clock:         clock,
 			Resolve:       func(string) (string, error) { return ol.Addr().String(), nil },
@@ -46,7 +48,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		srv := &piggyback.WireServer{Handler: px}
+		srv := &httpwire.Server{Handler: px}
 		go srv.Serve(l)
 		return px, l.Addr().String()
 	}
@@ -55,10 +57,10 @@ func main() {
 	defer plain.Close()
 	defer smart.Close()
 
-	client := piggyback.NewWireClient()
+	client := httpwire.NewClient()
 	defer client.Close()
 	get := func(addr string) int {
-		resp, err := client.DoContext(context.Background(), addr, piggyback.NewWireRequest("GET", "http://reports.example/reports/daily.html"))
+		resp, err := client.DoContext(context.Background(), addr, httpwire.NewRequest("GET", "http://reports.example/reports/daily.html"))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,7 +17,11 @@ import (
 	"net"
 	"time"
 
-	"piggyback"
+	"piggyback/internal/center"
+	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
+	"piggyback/internal/proxy"
+	"piggyback/internal/server"
 )
 
 func main() {
@@ -25,15 +29,15 @@ func main() {
 	clock := func() int64 { return now }
 
 	// --- A plain origin hosting two sites, no volume engine at all. ---
-	stores := map[string]*piggyback.Store{
-		"www.alpha.example": piggyback.NewStore(),
-		"www.beta.example":  piggyback.NewStore(),
+	stores := map[string]*server.Store{
+		"www.alpha.example": server.NewStore(),
+		"www.beta.example":  server.NewStore(),
 	}
-	stores["www.alpha.example"].Put(piggyback.Resource{URL: "/docs/guide.html", Size: 5000, LastModified: now - 5000})
-	stores["www.alpha.example"].Put(piggyback.Resource{URL: "/docs/figure.gif", Size: 2500, LastModified: now - 5000})
-	stores["www.beta.example"].Put(piggyback.Resource{URL: "/docs/other.html", Size: 1000, LastModified: now - 9999})
+	stores["www.alpha.example"].Put(server.Resource{URL: "/docs/guide.html", Size: 5000, LastModified: now - 5000})
+	stores["www.alpha.example"].Put(server.Resource{URL: "/docs/figure.gif", Size: 2500, LastModified: now - 5000})
+	stores["www.beta.example"].Put(server.Resource{URL: "/docs/other.html", Size: 1000, LastModified: now - 9999})
 
-	plain := piggyback.WireHandlerFunc(func(ctx context.Context, req *piggyback.WireRequest) *piggyback.WireResponse {
+	plain := httpwire.HandlerFunc(func(ctx context.Context, req *httpwire.Request) *httpwire.Response {
 		if req.Header.Has("Piggy-Filter") {
 			log.Fatal("piggyback header reached the plain origin — the center must strip it")
 		}
@@ -41,19 +45,19 @@ func main() {
 		if !ok {
 			return nil
 		}
-		return piggyback.NewOriginServer(st, nil, clock).ServeWire(ctx, req)
+		return server.New(st, nil, clock).ServeWire(ctx, req)
 	})
 	ol, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	osrv := &piggyback.WireServer{Handler: plain}
+	osrv := &httpwire.Server{Handler: plain}
 	go osrv.Serve(ol)
 	defer osrv.Close()
 	fmt.Println("plain origin (two sites) on", ol.Addr())
 
 	// --- Transparent volume center on the path. ---
-	ctr := piggyback.NewVolumeCenter(piggyback.CenterConfig{
+	ctr := center.New(center.Config{
 		Resolve: func(host string) (string, error) { return ol.Addr().String(), nil },
 		Clock:   clock,
 	})
@@ -62,31 +66,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	csrv := &piggyback.WireServer{Handler: ctr}
+	csrv := &httpwire.Server{Handler: ctr}
 	go csrv.Serve(cl)
 	defer csrv.Close()
 	fmt.Println("transparent volume center on", cl.Addr())
 
 	// --- Caching proxy pointed at the center. ---
-	px := piggyback.NewProxy(piggyback.ProxyConfig{
+	px := proxy.New(proxy.Config{
 		Delta:      600,
 		Clock:      clock,
 		Resolve:    func(host string) (string, error) { return cl.Addr().String(), nil },
-		BaseFilter: piggyback.Filter{MaxPiggy: 10},
+		BaseFilter: core.Filter{MaxPiggy: 10},
 	})
 	defer px.Close()
 	pl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	psrv := &piggyback.WireServer{Handler: px}
+	psrv := &httpwire.Server{Handler: px}
 	go psrv.Serve(pl)
 	defer psrv.Close()
 
-	client := piggyback.NewWireClient()
+	client := httpwire.NewClient()
 	defer client.Close()
 	get := func(url string) {
-		resp, err := client.DoContext(context.Background(), pl.Addr().String(), piggyback.NewWireRequest("GET", "http://"+url))
+		resp, err := client.DoContext(context.Background(), pl.Addr().String(), httpwire.NewRequest("GET", "http://"+url))
 		if err != nil {
 			log.Fatal(err)
 		}

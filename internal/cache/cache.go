@@ -71,6 +71,18 @@ func (e *Entry) PinnedUntil() int64 { return e.pinnedUntil }
 // HintCount returns how many piggyback messages have named this entry.
 func (e *Entry) HintCount() int { return e.hintCount }
 
+// View copies out the entry's servable state.
+func (e *Entry) View() View {
+	return View{
+		Body:             e.Body,
+		Size:             e.Size,
+		LastModified:     e.LastModified,
+		Expires:          e.Expires,
+		ContentType:      e.ContentType,
+		LastModifiedHTTP: e.LastModifiedHTTP,
+	}
+}
+
 // Priority returns the policy-assigned eviction priority as of the last
 // recomputation (insert, hit, pin). Custom demotion gates on a tiered
 // store can read it to rank eviction victims.
@@ -314,7 +326,7 @@ func (c *Cache) Lookup(url string, now int64) (View, bool) {
 	if !ok {
 		return View{}, false
 	}
-	v := viewOf(e)
+	v := e.View()
 	if e.Prefetched {
 		e.Prefetched = false
 		v.WasPrefetched = true
@@ -329,7 +341,7 @@ func (c *Cache) PeekView(url string) (View, bool) {
 	if !ok {
 		return View{}, false
 	}
-	return viewOf(e), true
+	return e.View(), true
 }
 
 // Contains reports whether url is cached.

@@ -12,20 +12,24 @@ func put(c *Cache, url string, size int64, now int64) []string {
 }
 
 func TestCacheBasicPutGet(t *testing.T) {
-	c := New(1000, LRU{})
-	put(c, "/a", 100, 1)
-	e, ok := c.Get("/a", 2)
-	if !ok || e.Size != 100 {
-		t.Fatalf("Get = %+v, %v", e, ok)
-	}
-	if _, ok := c.Get("/b", 3); ok {
-		t.Fatal("phantom hit")
-	}
-	if c.Hits != 1 || c.Misses != 1 {
-		t.Errorf("hits=%d misses=%d", c.Hits, c.Misses)
-	}
-	if got := c.HitRate(); got != 0.5 {
-		t.Errorf("HitRate = %v", got)
+	for _, p := range []Policy{LRU{}, LFU{}, &GDSize{}, PiggybackLRU{}} {
+		t.Run(p.Name(), func(t *testing.T) {
+			c := New(1000, p)
+			put(c, "/a", 100, 1)
+			e, ok := c.Get("/a", 2)
+			if !ok || e.Size != 100 {
+				t.Fatalf("Get = %+v, %v", e, ok)
+			}
+			if _, ok := c.Get("/b", 3); ok {
+				t.Fatal("phantom hit")
+			}
+			if c.Hits != 1 || c.Misses != 1 {
+				t.Errorf("hits=%d misses=%d", c.Hits, c.Misses)
+			}
+			if got := c.HitRate(); got != 0.5 {
+				t.Errorf("HitRate = %v", got)
+			}
+		})
 	}
 }
 

@@ -158,55 +158,30 @@ func (v View) Fresh(now int64) bool { return now < v.Expires }
 func (s *Sharded) Lookup(url string, now int64) (View, bool) {
 	sh := s.shard(url)
 	sh.mu.Lock()
-	e, ok := sh.c.Get(url, now)
-	if !ok {
-		sh.mu.Unlock()
-		s.misses.Add(1)
-		return View{}, false
-	}
-	v := viewOf(e)
-	if e.Prefetched {
-		e.Prefetched = false
-		v.WasPrefetched = true
-	}
+	v, ok := sh.c.Lookup(url, now)
 	sh.mu.Unlock()
-	s.hits.Add(1)
-	return v, true
+	if ok {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
+	}
+	return v, ok
 }
 
-// Peek returns the entry's state without side effects.
-func (s *Sharded) Peek(url string) (View, bool) {
+// PeekView returns the entry's state without side effects.
+func (s *Sharded) PeekView(url string) (View, bool) {
 	sh := s.shard(url)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.c.Peek(url)
-	if !ok {
-		return View{}, false
-	}
-	return viewOf(e), true
+	return sh.c.PeekView(url)
 }
-
-func viewOf(e *Entry) View {
-	return View{
-		Body:             e.Body,
-		Size:             e.Size,
-		LastModified:     e.LastModified,
-		Expires:          e.Expires,
-		ContentType:      e.ContentType,
-		LastModifiedHTTP: e.LastModifiedHTTP,
-	}
-}
-
-// PeekView is Peek under its Store name.
-func (s *Sharded) PeekView(url string) (View, bool) { return s.Peek(url) }
 
 // Contains reports whether url is cached.
 func (s *Sharded) Contains(url string) bool {
 	sh := s.shard(url)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, ok := sh.c.Peek(url)
-	return ok
+	return sh.c.Contains(url)
 }
 
 // Put inserts or replaces the entry for e.URL in its shard, evicting
@@ -216,8 +191,27 @@ func (s *Sharded) Put(e Entry, now int64) (evicted []string) {
 	sh := s.shard(e.URL)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return s.putLocked(sh, e, now)
+}
+
+// PutIfAbsent is Put unless e.URL is already cached, in one shard-lock
+// critical section; it reports whether it inserted. A tiered store
+// promotes disk copies with it, so a version put meanwhile is never
+// overwritten by an older one.
+func (s *Sharded) PutIfAbsent(e Entry, now int64) bool {
+	sh := s.shard(e.URL)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.c.Contains(e.URL) {
+		return false
+	}
+	s.putLocked(sh, e, now)
+	return true
+}
+
+func (s *Sharded) putLocked(sh *shard, e Entry, now int64) []string {
 	before := sh.c.Evictions
-	evicted = sh.c.Put(e, now)
+	evicted := sh.c.Put(e, now)
 	s.noteMutation(sh, sh.c.Evictions-before)
 	return evicted
 }
@@ -281,18 +275,11 @@ func (s *Sharded) ApplyPiggyback(url string, lastModified, freshenTo, pinUntil, 
 	sh := s.shard(url)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.c.Peek(url)
-	if !ok {
-		return PiggybackMiss
-	}
-	if lastModified > e.LastModified {
-		sh.c.Delete(url)
+	out := sh.c.ApplyPiggyback(url, lastModified, freshenTo, pinUntil, now)
+	if out == PiggybackInvalidated {
 		s.noteMutation(sh, 0)
-		return PiggybackInvalidated
 	}
-	sh.c.Freshen(url, freshenTo)
-	sh.c.Hint(url, pinUntil, now)
-	return PiggybackRefreshed
+	return out
 }
 
 // noteMutation refreshes the shard's occupancy gauges and the aggregate

@@ -171,3 +171,65 @@ func TestTieredConcurrentVersions(t *testing.T) {
 		t.Fatalf("no demotions (%d) or promotions (%d): the writer was not exercised", st.Demotions, st.Promotions)
 	}
 }
+
+// TestPromotionRaces starts each Lookup that promotes a disk copy at the
+// same moment as a second writer of its URL, and checks the state the
+// pair leaves. A piggyback invalidation must win whichever side runs
+// first: the old version is not cached afterwards. A Put of a newer
+// version must not be overwritten by the promotion of the older one. Run
+// it with -race -count=10.
+func TestPromotionRaces(t *testing.T) {
+	const n = 3000
+	now := int64(1000)
+	for _, leg := range []string{"invalidate", "put"} {
+		t.Run(leg, func(t *testing.T) {
+			ts, err := New(cache.NewSharded(1<<10, 1, nil), Config{Dir: t.TempDir(), QueueLen: n + 1, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ts.Close()
+			// Each 600-byte entry gets a hit, then the next Put evicts it
+			// to disk.
+			for i := 0; i <= n; i++ {
+				url := fmt.Sprintf("http://o/%d", i)
+				ts.Put(entry(url, 600, now), now)
+				ts.Lookup(url, now)
+			}
+			ts.Flush()
+			for i := 0; i < n; i++ {
+				url := fmt.Sprintf("http://o/%d", i)
+				if !ts.diskContains(url) {
+					t.Fatalf("%s not demoted", url)
+				}
+				newer := entry(url, 600, now)
+				newer.LastModified += 50
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					<-start
+					ts.Lookup(url, now)
+				}()
+				go func() {
+					defer wg.Done()
+					<-start
+					if leg == "invalidate" {
+						ts.ApplyPiggyback(url, newer.LastModified, now+300, now+300, now)
+					} else {
+						ts.Put(newer, now)
+					}
+				}()
+				close(start)
+				wg.Wait()
+				v, ok := ts.PeekView(url)
+				switch {
+				case leg == "invalidate" && ok:
+					t.Fatalf("pair %d: invalidated version cached after the race (Last-Modified %d)", i, v.LastModified)
+				case leg == "put" && (!ok || v.LastModified != newer.LastModified):
+					t.Fatalf("pair %d: after the race ok=%v Last-Modified %d, want the Put's %d", i, ok, v.LastModified, newer.LastModified)
+				}
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package tiered
 
 import (
+	"errors"
 	"log"
 	"math"
 	"sync"
@@ -12,10 +13,7 @@ import (
 
 // Config parameterizes the disk tier under a Tiered store.
 type Config struct {
-	// Dir is the segment directory. Empty disables the disk tier: the
-	// Tiered store becomes a transparent wrapper over its RAM tier
-	// (useful for differential tests and for -disk-dir-less deployments
-	// sharing one code path).
+	// Dir is the segment directory; it must be set.
 	Dir string
 	// DiskBytes caps the on-disk segment footprint; zero means 256 MiB.
 	DiskBytes int64
@@ -81,9 +79,11 @@ type tierCounters struct {
 type Tiered struct {
 	ram  *cache.Sharded
 	cfg  Config
-	disk *diskTier // nil in RAM-only mode
+	disk *diskTier
 
-	mu sync.Mutex // guards disk and superseded
+	// mu guards disk and superseded. It is never taken under a shard
+	// lock: the eviction hook runs under one and only sends on demoteQ.
+	mu sync.Mutex
 
 	// evictSeq numbers queued demotions; queued counts those the writer
 	// has not handled yet. superseded holds, per URL, the evictSeq value
@@ -121,15 +121,13 @@ type supersession struct {
 	lm  int64
 }
 
-// New layers a disk tier under ram. With cfg.Dir == "" it returns a
-// RAM-only wrapper (no files, no goroutine). Otherwise it opens the
-// segment directory, loads the index snapshot when a valid one exists
-// (restart-warm), installs the demotion hook on ram, and starts the
-// background writer.
+// New layers a disk tier under ram: it opens the segment directory,
+// loads the index snapshot when a valid one exists (restart-warm),
+// installs the demotion hook on ram, and starts the background writer.
 func New(ram *cache.Sharded, cfg Config) (*Tiered, error) {
 	t, err := open(ram, cfg)
-	if err != nil || t.disk == nil {
-		return t, err
+	if err != nil {
+		return nil, err
 	}
 	t.wg.Add(1)
 	go t.writer()
@@ -139,6 +137,9 @@ func New(ram *cache.Sharded, cfg Config) (*Tiered, error) {
 // open is New without the writer goroutine: queued demotions wait until
 // something calls handle.
 func open(ram *cache.Sharded, cfg Config) (*Tiered, error) {
+	if cfg.Dir == "" {
+		return nil, errors.New("tiered: empty Config.Dir")
+	}
 	if cfg.DiskBytes <= 0 {
 		cfg.DiskBytes = 256 << 20
 	}
@@ -157,15 +158,11 @@ func open(ram *cache.Sharded, cfg Config) (*Tiered, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	t := &Tiered{ram: ram, cfg: cfg}
-	if cfg.Dir == "" {
-		return t, nil
-	}
 	disk, err := openDisk(cfg.Dir, cfg.DiskBytes, cfg.SegmentBytes, cfg.CompactLiveRatio, cfg.Logf)
 	if err != nil {
 		return nil, err
 	}
-	t.disk = disk
+	t := &Tiered{ram: ram, cfg: cfg, disk: disk}
 	t.demoteQ = make(chan demoteItem, cfg.QueueLen)
 	t.kick = make(chan struct{}, 1)
 	t.stop = make(chan struct{})
@@ -257,12 +254,8 @@ func (t *Tiered) supersedeLocked(url string, lm int64) {
 
 // Flush blocks until every demotion enqueued before the call is on disk
 // (or was dropped) and maintenance has run — a barrier for tests and for
-// reading consistent tier stats mid-run. RAM-only stores return
-// immediately.
+// reading consistent tier stats mid-run.
 func (t *Tiered) Flush() {
-	if t.disk == nil {
-		return
-	}
 	ch := make(chan struct{})
 	select {
 	case t.demoteQ <- demoteItem{flush: ch}:
@@ -301,38 +294,32 @@ func (t *Tiered) Lookup(url string, now int64) (cache.View, bool) {
 	if v, ok := t.ram.Lookup(url, now); ok {
 		return v, true
 	}
-	if t.disk == nil {
-		return cache.View{}, false
-	}
 	t.mu.Lock()
 	e, ok := t.disk.get(url, true)
-	t.mu.Unlock()
 	if !ok {
+		t.mu.Unlock()
 		return cache.View{}, false
 	}
-	t.diskHits.Add(1)
-	t.promotions.Add(1)
-	if c := t.obsC.Load(); c != nil {
-		c.diskHits.Inc()
-		c.promotions.Inc()
-	}
-	v := cache.View{
-		Body:             e.Body,
-		Size:             e.Size,
-		LastModified:     e.LastModified,
-		Expires:          e.Expires,
-		ContentType:      e.ContentType,
-		LastModifiedHTTP: e.LastModifiedHTTP,
-	}
+	v := e.View()
 	if e.Prefetched {
 		// First client touch of a speculative fetch, same as the RAM
 		// tier's semantics: report it once and clear the mark.
 		v.WasPrefetched = true
 		e.Prefetched = false
 	}
-	// Promote: the RAM tier re-runs its replacement policy on insert, so
-	// the promoted entry lands as a just-used entry.
-	t.ram.Put(e, now)
+	// Promote under t.mu: a Delete or piggyback invalidation that finds
+	// the disk copy gone re-applies to RAM under t.mu, so it sees this
+	// copy. Insert-if-absent keeps a newer version put meanwhile. The RAM
+	// tier re-runs its replacement policy on insert, so the promoted
+	// entry lands as a just-used entry.
+	t.ram.PutIfAbsent(e, now)
+	t.mu.Unlock()
+	t.diskHits.Add(1)
+	t.promotions.Add(1)
+	if c := t.obsC.Load(); c != nil {
+		c.diskHits.Inc()
+		c.promotions.Inc()
+	}
 	t.kickWriter()
 	return v, true
 }
@@ -349,37 +336,18 @@ func (t *Tiered) PeekView(url string) (cache.View, bool) {
 	if v, ok := t.ram.PeekView(url); ok {
 		return v, true
 	}
-	if t.disk == nil {
-		return cache.View{}, false
-	}
 	t.mu.Lock()
 	e, ok := t.disk.get(url, false)
 	t.mu.Unlock()
 	if !ok {
 		return cache.View{}, false
 	}
-	return cache.View{
-		Body:             e.Body,
-		Size:             e.Size,
-		LastModified:     e.LastModified,
-		Expires:          e.Expires,
-		ContentType:      e.ContentType,
-		LastModifiedHTTP: e.LastModifiedHTTP,
-	}, true
+	return e.View(), true
 }
 
 // Contains reports whether url is cached in either tier.
 func (t *Tiered) Contains(url string) bool {
-	if t.ram.Contains(url) {
-		return true
-	}
-	if t.disk == nil {
-		return false
-	}
-	t.mu.Lock()
-	_, ok := t.disk.index[url]
-	t.mu.Unlock()
-	return ok
+	return t.ram.Contains(url) || t.diskContains(url)
 }
 
 // Put inserts into the RAM tier (demotion of displaced entries happens
@@ -388,36 +356,30 @@ func (t *Tiered) Contains(url string) bool {
 // a key's version.
 func (t *Tiered) Put(e cache.Entry, now int64) []string {
 	evicted := t.ram.Put(e, now)
-	if t.disk != nil {
-		t.mu.Lock()
-		t.disk.dropIndexed(e.URL)
-		t.supersedeLocked(e.URL, math.MaxInt64)
-		t.mu.Unlock()
-	}
+	t.mu.Lock()
+	t.disk.dropIndexed(e.URL)
+	t.supersedeLocked(e.URL, math.MaxInt64)
+	t.mu.Unlock()
 	return evicted
 }
 
 // Delete removes url from both tiers. Deletion is invalidation: the disk
 // copy is dropped, not demoted to, and a queued demotion never lands.
+// When the disk index misses, a promotion may have moved the copy to RAM
+// since the first RAM delete, so the RAM delete runs again under t.mu.
 func (t *Tiered) Delete(url string) bool {
 	ok := t.ram.Delete(url)
-	if t.disk != nil {
-		t.mu.Lock()
-		dok := t.disk.dropIndexed(url)
-		t.supersedeLocked(url, math.MaxInt64)
-		t.mu.Unlock()
-		ok = ok || dok
-	}
-	return ok
+	t.mu.Lock()
+	dok := t.disk.dropIndexed(url) || t.ram.Delete(url)
+	t.supersedeLocked(url, math.MaxInt64)
+	t.mu.Unlock()
+	return ok || dok
 }
 
 // Freshen extends the expiration wherever the entry lives.
 func (t *Tiered) Freshen(url string, expires int64) bool {
 	if t.ram.Freshen(url, expires) {
 		return true
-	}
-	if t.disk == nil {
-		return false
 	}
 	t.mu.Lock()
 	ok := t.disk.freshen(url, expires)
@@ -445,9 +407,6 @@ func (t *Tiered) Hint(url string, until, now int64) bool {
 }
 
 func (t *Tiered) diskContains(url string) bool {
-	if t.disk == nil {
-		return false
-	}
 	t.mu.Lock()
 	_, ok := t.disk.index[url]
 	t.mu.Unlock()
@@ -457,16 +416,19 @@ func (t *Tiered) diskContains(url string) bool {
 // ApplyPiggyback applies one piggyback element to whichever tier holds
 // the entry: the RAM tier's shard-local critical section first, then the
 // disk index (invalidate an outdated record, freshen a current one). When
-// both miss, a queued demotion of a copy older than lastModified is
+// the disk index misses, a promotion may have moved the copy to RAM since
+// the first RAM attempt, so the element is applied to RAM again under
+// t.mu, and a queued demotion of a copy older than lastModified is
 // outdated too.
 func (t *Tiered) ApplyPiggyback(url string, lastModified, freshenTo, pinUntil, now int64) cache.PiggybackOutcome {
 	out := t.ram.ApplyPiggyback(url, lastModified, freshenTo, pinUntil, now)
-	if out != cache.PiggybackMiss || t.disk == nil {
+	if out != cache.PiggybackMiss {
 		return out
 	}
 	t.mu.Lock()
 	out = t.disk.applyPiggyback(url, lastModified, freshenTo)
 	if out == cache.PiggybackMiss {
+		out = t.ram.ApplyPiggyback(url, lastModified, freshenTo, pinUntil, now)
 		t.supersedeLocked(url, lastModified)
 	}
 	t.mu.Unlock()
@@ -485,11 +447,9 @@ func (t *Tiered) Stats() cache.StoreStats {
 	s.Demotions = t.demotions.Load()
 	s.Promotions = t.promotions.Load()
 	s.Compactions = t.compactions.Load()
-	if t.disk != nil {
-		t.mu.Lock()
-		s.DiskBytes = t.disk.bytes
-		t.mu.Unlock()
-	}
+	t.mu.Lock()
+	s.DiskBytes = t.disk.bytes
+	t.mu.Unlock()
 	return s
 }
 
@@ -502,9 +462,6 @@ func (t *Tiered) HitRate() float64 { return t.Stats().HitRate() }
 // proxy re-instruments the store it reopened).
 func (t *Tiered) Instrument(reg *obs.Registry, prefix string) {
 	t.ram.Instrument(reg, prefix)
-	if t.disk == nil {
-		return
-	}
 	c := &tierCounters{
 		demotions:   reg.Counter(prefix + ".tier.demotions"),
 		promotions:  reg.Counter(prefix + ".tier.promotions"),
@@ -526,36 +483,26 @@ func (t *Tiered) Instrument(reg *obs.Registry, prefix string) {
 }
 
 // Capacity is the combined byte capacity of both tiers.
-func (t *Tiered) Capacity() int64 {
-	c := t.ram.Capacity()
-	if t.disk != nil {
-		c += t.cfg.DiskBytes
-	}
-	return c
-}
+func (t *Tiered) Capacity() int64 { return t.ram.Capacity() + t.cfg.DiskBytes }
 
 // Used is the bytes held across both tiers (disk counts live record
 // bytes, not hole-laden file footprint).
 func (t *Tiered) Used() int64 {
 	u := t.ram.Used()
-	if t.disk != nil {
-		t.mu.Lock()
-		for _, s := range t.disk.segs {
-			u += s.live
-		}
-		t.mu.Unlock()
+	t.mu.Lock()
+	for _, s := range t.disk.segs {
+		u += s.live
 	}
+	t.mu.Unlock()
 	return u
 }
 
 // Len is the number of entries across both tiers.
 func (t *Tiered) Len() int {
 	n := t.ram.Len()
-	if t.disk != nil {
-		t.mu.Lock()
-		n += len(t.disk.index)
-		t.mu.Unlock()
-	}
+	t.mu.Lock()
+	n += len(t.disk.index)
+	t.mu.Unlock()
 	return n
 }
 
@@ -567,9 +514,6 @@ func (t *Tiered) Close() error {
 	var err error
 	t.closed.Do(func() {
 		t.ram.SetEvictObserver(nil)
-		if t.disk == nil {
-			return
-		}
 		close(t.stop)
 		t.wg.Wait()
 		t.mu.Lock()

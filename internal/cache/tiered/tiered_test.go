@@ -306,100 +306,64 @@ func TestTieredInstrument(t *testing.T) {
 	}
 }
 
-// TestTieredRAMOnly: Dir == "" is a transparent wrapper — no files, no
-// demotions, Store semantics identical to the RAM tier.
-func TestTieredRAMOnly(t *testing.T) {
-	ts, err := New(cache.NewSharded(1<<10, 1, nil), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
-	now := int64(1000)
-	ts.Put(entry("http://o/a", 600, now), now)
-	ts.Lookup("http://o/a", now)
-	ts.Put(entry("http://o/b", 600, now), now) // evicts a — nowhere to go
-	ts.Flush()                                 // must not block
-	if ts.Contains("http://o/a") {
-		t.Fatal("RAM-only store resurrected an evicted entry")
-	}
-	st := ts.Stats()
-	if st.Demotions != 0 || st.DiskHits != 0 || st.DiskBytes != 0 {
-		t.Fatalf("RAM-only store has tier activity: %+v", st)
-	}
-}
-
-// TestTieredDifferential (satellite 1) drives the plain Cache, a
-// shards==1 Sharded, and a RAM-only Tiered through one randomized op
-// sequence via the cache.Store interface and asserts identical observable
-// behaviour at every step — the three implementations are
-// interchangeable wherever a Store is accepted.
+// TestTieredDifferential drives the plain Cache and a shards==1 Sharded
+// through one randomized op sequence via the cache.Store interface and
+// asserts identical observable behaviour at every step — the two
+// implementations are interchangeable wherever a Store is accepted.
 func TestTieredDifferential(t *testing.T) {
 	const capacity = 4 << 10
 	plain := cache.New(capacity, cache.PiggybackLRU{})
 	sharded := cache.NewSharded(capacity, 1, nil)
-	tiered, err := New(cache.NewSharded(capacity, 1, nil), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stores := []struct {
-		name string
-		s    cache.Store
-	}{{"plain", plain}, {"sharded", sharded}, {"tiered-ram", tiered}}
+	stores := []cache.Store{plain, sharded}
 
 	rng := rand.New(rand.NewSource(99))
 	now := int64(1000)
 	for step := 0; step < 3000; step++ {
 		now++
 		url := fmt.Sprintf("http://o/u%02d", rng.Intn(40))
-		// Draw the op and its parameters once, apply to all three stores.
+		// Draw the op and its parameters once, apply to both stores.
 		op := rng.Intn(100)
 		size := int64(64 + rng.Intn(capacity/4))
 		lm := now - int64(rng.Intn(500))
 		exp := now + int64(rng.Intn(400))
 		pre := rng.Intn(4) == 0
-		var outs [3]string
+		var outs [2]string
 		for i, st := range stores {
 			switch {
 			case op < 40:
 				e := cache.Entry{URL: url, Size: size, LastModified: lm,
 					Expires: exp, FetchedAt: now, Body: []byte(url),
 					ContentType: "text/html", Prefetched: pre}
-				outs[i] = fmt.Sprint(st.s.Put(e, now))
+				outs[i] = fmt.Sprint(st.Put(e, now))
 			case op < 65:
-				v, ok := st.s.Lookup(url, now)
+				v, ok := st.Lookup(url, now)
 				outs[i] = fmt.Sprint(ok, v.Expires, v.WasPrefetched, string(v.Body))
 			case op < 72:
-				outs[i] = fmt.Sprint(st.s.Freshen(url, exp))
+				outs[i] = fmt.Sprint(st.Freshen(url, exp))
 			case op < 79:
-				outs[i] = fmt.Sprint(st.s.Hint(url, exp, now))
+				outs[i] = fmt.Sprint(st.Hint(url, exp, now))
 			case op < 84:
-				outs[i] = fmt.Sprint(st.s.Pin(url, exp, now))
+				outs[i] = fmt.Sprint(st.Pin(url, exp, now))
 			case op < 89:
-				outs[i] = fmt.Sprint(st.s.Delete(url))
+				outs[i] = fmt.Sprint(st.Delete(url))
 			case op < 94:
-				v, ok := st.s.PeekView(url)
-				outs[i] = fmt.Sprint(ok, v.Expires, string(v.Body), st.s.Contains(url))
+				v, ok := st.PeekView(url)
+				outs[i] = fmt.Sprint(ok, v.Expires, string(v.Body), st.Contains(url))
 			default:
-				outs[i] = fmt.Sprint(st.s.ApplyPiggyback(url, lm, now+300, now+600, now))
+				outs[i] = fmt.Sprint(st.ApplyPiggyback(url, lm, now+300, now+600, now))
 			}
 		}
-		for i := 1; i < 3; i++ {
-			if outs[i] != outs[0] {
-				t.Fatalf("step %d: %s diverged from plain: %q vs %q",
-					step, stores[i].name, outs[i], outs[0])
-			}
+		if outs[1] != outs[0] {
+			t.Fatalf("step %d: sharded diverged from plain: %q vs %q", step, outs[1], outs[0])
 		}
-		s0, si := stores[0].s.Stats(), stores[1].s.Stats()
-		st2 := stores[2].s.Stats()
-		if s0 != si || s0 != st2 {
-			t.Fatalf("step %d: stats diverged: plain %+v sharded %+v tiered %+v", step, s0, si, st2)
+		if s0, s1 := plain.Stats(), sharded.Stats(); s0 != s1 {
+			t.Fatalf("step %d: stats diverged: plain %+v sharded %+v", step, s0, s1)
 		}
-		if stores[0].s.Used() != stores[1].s.Used() || stores[0].s.Used() != stores[2].s.Used() ||
-			stores[0].s.Len() != stores[1].s.Len() || stores[0].s.Len() != stores[2].s.Len() {
+		if plain.Used() != sharded.Used() || plain.Len() != sharded.Len() {
 			t.Fatalf("step %d: occupancy diverged", step)
 		}
 	}
-	st := stores[0].s.Stats()
+	st := plain.Stats()
 	if st.Hits == 0 || st.Evictions == 0 {
 		t.Fatalf("sequence exercised no hits (%d) or evictions (%d) — test is vacuous", st.Hits, st.Evictions)
 	}

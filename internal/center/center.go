@@ -114,11 +114,8 @@ func (c *Center) Close() { c.client.Close() }
 // request context bounds the upstream relay, so a torn-down client
 // connection abandons its origin exchange.
 func (c *Center) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire.Response {
-	if httpwire.IsStatsRequest(req) {
-		return httpwire.StatsResponse(c.obs)
-	}
-	if httpwire.IsPprofRequest(req) {
-		return httpwire.PprofResponse(req)
+	if resp := httpwire.AdminResponse(req, c.obs); resp != nil {
+		return resp
 	}
 	now := c.cfg.Clock()
 	host, path, err := httpwire.SplitTarget(req)

@@ -262,3 +262,38 @@ func TestCenterConsumesPiggyHits(t *testing.T) {
 		}
 	}
 }
+
+// TestCenterHitReportKeepsAttributes pins that a Piggy-Hits report, which
+// names a URL but not its size or Last-Modified, counts as an access
+// without erasing the attributes the center learned from the origin: the
+// next trailer still advertises the real size and Last-Modified, so a
+// proxy does not freshen a copy the origin may have replaced.
+func TestCenterHitReportKeepsAttributes(t *testing.T) {
+	_, addr, _, _ := newCenterBed(t)
+	c := httpwire.NewClient()
+	defer c.Close()
+	f := core.Filter{MaxPiggy: 10}
+	doVia(t, c, addr, "www.one.com", "/a/x.html", &f)
+
+	req := httpwire.NewRequest("GET", "/a/y.gif")
+	req.Header.Set("Host", "www.one.com")
+	httpwire.SetFilter(req, f)
+	httpwire.SetHits(req, []string{"/a/x.html"})
+	resp, err := c.DoContext(context.Background(), addr, req)
+	if err != nil || resp.Status != 200 {
+		t.Fatalf("relay: %v %d", err, resp.Status)
+	}
+	m, ok := httpwire.ExtractPiggyback(resp)
+	if !ok {
+		t.Fatal("no piggyback")
+	}
+	for _, e := range m.Elements {
+		if e.URL == "www.one.com/a/x.html" {
+			if e.Size != 100 || e.LastModified != 1000 {
+				t.Errorf("hit report erased attributes: %+v, want size 100, Last-Modified 1000", e)
+			}
+			return
+		}
+	}
+	t.Errorf("x.html missing from the trailer: %+v", m.Elements)
+}

@@ -91,9 +91,7 @@ func (d *DirVolumes) Observe(a Access) {
 	} else {
 		// FIFO ablation: count the access but keep insertion order.
 		if n, ok := l.Get(a.Element.URL); ok {
-			n.setElem(a.Element)
-			n.accessCount++
-			n.lastAccess = a.Time
+			n.access(a.Element, a.Time)
 		} else {
 			l.Touch(a.Element, trace.ContentType(a.Element.URL), a.Time)
 		}

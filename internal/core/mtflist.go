@@ -57,9 +57,20 @@ func newMTFList() *mtfList {
 // Len returns the number of elements in the list.
 func (l *mtfList) Len() int { return len(l.index) }
 
+// access counts a request for the node's resource at time now and
+// refreshes its attributes from e. An e with Last-Modified 0 carries no
+// attributes (a Piggy-Hits report names only the URL), so it counts
+// toward popularity but keeps the stored size and Last-Modified.
+func (n *mtfNode) access(e Element, now int64) {
+	if e.LastModified != 0 {
+		n.setElem(e)
+	}
+	n.accessCount++
+	n.lastAccess = now
+}
+
 // Touch records an access to e at time now, inserting the element if absent
-// and moving it to the front. The element's attributes (size, Last-Modified)
-// are refreshed from e. It returns the node.
+// and moving it to the front. It returns the node.
 func (l *mtfList) Touch(e Element, contentType string, now int64) *mtfNode {
 	n, ok := l.index[e.URL]
 	if !ok {
@@ -67,12 +78,10 @@ func (l *mtfList) Touch(e Element, contentType string, now int64) *mtfNode {
 		l.index[e.URL] = n
 		l.pushFront(n)
 	} else {
-		n.setElem(e)
 		n.contentType = contentType
 		l.moveToFront(n)
 	}
-	n.accessCount++
-	n.lastAccess = now
+	n.access(e, now)
 	return n
 }
 

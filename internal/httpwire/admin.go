@@ -7,13 +7,38 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"piggyback/internal/obs"
 )
+
+// AdminResponse answers the reserved /.piggy/ endpoints, which the server,
+// proxy, and volume center each check before any routing, and returns nil
+// for every other request. A GET for obs.StatsPath returns a live JSON
+// snapshot of reg, so the load generator (or an operator with netcat) can
+// watch counters move under live traffic; a GET under PprofPathPrefix
+// returns a runtime profile. The paths have no Host, so a proxy answers
+// for itself rather than forwarding.
+func AdminResponse(req *Request, reg *obs.Registry) *Response {
+	if req.Method != "GET" {
+		return nil
+	}
+	switch {
+	case req.Path == obs.StatsPath:
+		resp := NewResponse(200)
+		resp.Body = reg.Snapshot().JSON()
+		resp.Header.Set("Content-Type", "application/json")
+		resp.Header.Set("Cache-Control", "no-store")
+		return resp
+	case strings.HasPrefix(req.Path, PprofPathPrefix):
+		return pprofResponse(req.Path)
+	}
+	return nil
+}
 
 // PprofPathPrefix is the reserved origin-form path prefix under which live
 // runtime profiles are served: /.piggy/pprof/<name> answers with the named
 // runtime/pprof profile (heap, allocs, goroutine, block, mutex, ...), and
-// /.piggy/pprof/profile?seconds=N with an N-second CPU profile. Like the
-// stats endpoint, the path has no Host so a proxy answers for itself.
+// /.piggy/pprof/profile?seconds=N with an N-second CPU profile.
 //
 // The endpoint is off by default — profiles expose internals, so a process
 // opts in with EnablePprof (the -pprof flag on the daemons).
@@ -24,23 +49,17 @@ var pprofEnabled atomic.Bool
 // EnablePprof turns the /.piggy/pprof/ endpoint on or off process-wide.
 func EnablePprof(on bool) { pprofEnabled.Store(on) }
 
-// IsPprofRequest reports whether req addresses the profiling endpoint.
-// Handlers check this before routing, exactly like IsStatsRequest.
-func IsPprofRequest(req *Request) bool {
-	return req.Method == "GET" && strings.HasPrefix(req.Path, PprofPathPrefix)
-}
-
 // maxCPUProfileSeconds bounds how long one request may keep the (global,
 // single-consumer) CPU profiler running.
 const maxCPUProfileSeconds = 60
 
-// PprofResponse serves a profiling request. When profiling is not enabled
+// pprofResponse serves a profiling request. When profiling is not enabled
 // it answers 404 without revealing the endpoint exists.
-func PprofResponse(req *Request) *Response {
+func pprofResponse(path string) *Response {
 	if !pprofEnabled.Load() {
 		return NewResponse(404)
 	}
-	name, query, _ := strings.Cut(strings.TrimPrefix(req.Path, PprofPathPrefix), "?")
+	name, query, _ := strings.Cut(strings.TrimPrefix(path, PprofPathPrefix), "?")
 	if name == "profile" {
 		return cpuProfileResponse(query)
 	}

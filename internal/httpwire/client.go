@@ -32,9 +32,6 @@ import (
 // line. HTTP/1.1 responses carry no exchange IDs, so wire order is the
 // correlation.
 type Client struct {
-	// DialTimeout bounds connection establishment; zero means 5s. A
-	// sooner context deadline wins.
-	DialTimeout time.Duration
 	// RequestTimeout caps each wire step of an exchange (the request
 	// write, each response read); zero = 30s. The caller's context
 	// deadline, when sooner, wins.
@@ -130,15 +127,12 @@ var (
 	pokeTime = time.Unix(1, 0)
 )
 
+// dialTimeout bounds connection establishment; a sooner context deadline
+// wins.
+const dialTimeout = 5 * time.Second
+
 // NewClient returns a Client ready for use.
 func NewClient() *Client { return &Client{pools: make(map[string]*pool)} }
-
-func (c *Client) dialTimeout() time.Duration {
-	if c.DialTimeout > 0 {
-		return c.DialTimeout
-	}
-	return 5 * time.Second
-}
 
 func (c *Client) requestTimeout() time.Duration {
 	if c.RequestTimeout > 0 {
@@ -642,7 +636,7 @@ func (p *pool) wake() {
 
 // dial establishes a new connection for a slot the caller already holds.
 func (p *pool) dial(ctx context.Context) (*clientConn, error) {
-	d := net.Dialer{Timeout: p.c.dialTimeout()}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", p.addr)
 	if err != nil {
 		p.mu.Lock()

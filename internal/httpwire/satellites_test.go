@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"piggyback/internal/httpwire/wireerr"
+	"piggyback/internal/obs"
 )
 
 // Regression: readHeader used h.Set, so the last repeated field silently
@@ -126,22 +127,34 @@ func TestSleepBackoffDeadline(t *testing.T) {
 func TestPprofEndpointGated(t *testing.T) {
 	defer EnablePprof(false)
 	req := NewRequest("GET", PprofPathPrefix+"heap")
-	if !IsPprofRequest(req) {
-		t.Fatal("IsPprofRequest = false for a pprof path")
-	}
 	EnablePprof(false)
-	if resp := PprofResponse(req); resp.Status != 404 {
-		t.Fatalf("disabled: status %d, want 404", resp.Status)
+	if resp := AdminResponse(req, nil); resp == nil || resp.Status != 404 {
+		t.Fatalf("disabled: %+v, want 404", resp)
 	}
 	EnablePprof(true)
-	resp := PprofResponse(req)
-	if resp.Status != 200 || len(resp.Body) == 0 {
-		t.Fatalf("enabled heap: status %d, %d body bytes", resp.Status, len(resp.Body))
+	resp := AdminResponse(req, nil)
+	if resp == nil || resp.Status != 200 || len(resp.Body) == 0 {
+		t.Fatalf("enabled heap: %+v, want 200 with a profile", resp)
 	}
-	if resp := PprofResponse(NewRequest("GET", PprofPathPrefix+"nosuch")); resp.Status != 404 {
-		t.Fatalf("unknown profile: status %d, want 404", resp.Status)
+	if resp := AdminResponse(NewRequest("GET", PprofPathPrefix+"nosuch"), nil); resp == nil || resp.Status != 404 {
+		t.Fatalf("unknown profile: %+v, want 404", resp)
 	}
-	if IsPprofRequest(NewRequest("GET", "/a/x.html")) {
-		t.Fatal("ordinary path classified as pprof")
+	if AdminResponse(NewRequest("GET", "/a/x.html"), nil) != nil {
+		t.Fatal("ordinary path answered as an admin request")
+	}
+}
+
+func TestAdminStatsEndpoint(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("test.requests").Add(3)
+	resp := AdminResponse(NewRequest("GET", obs.StatsPath), reg)
+	if resp == nil || resp.Status != 200 || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("stats: %+v, want a 200 JSON response", resp)
+	}
+	if !strings.Contains(string(resp.Body), `"test.requests"`) {
+		t.Errorf("stats body lacks the registered counter: %s", resp.Body)
+	}
+	if AdminResponse(NewRequest("POST", obs.StatsPath), reg) != nil {
+		t.Error("POST to the stats path answered as an admin request")
 	}
 }

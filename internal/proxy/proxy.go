@@ -403,11 +403,8 @@ type upstreamState struct {
 // cancellation (connection teardown, server shutdown) propagates into the
 // upstream exchange and detaches single-flight followers.
 func (p *Proxy) ServeWire(ctx context.Context, req *httpwire.Request) *httpwire.Response {
-	if httpwire.IsStatsRequest(req) {
-		return httpwire.StatsResponse(p.obs)
-	}
-	if httpwire.IsPprofRequest(req) {
-		return httpwire.PprofResponse(req)
+	if resp := httpwire.AdminResponse(req, p.obs); resp != nil {
+		return resp
 	}
 	if p.mesh != nil && httpwire.IsPeerPiggybackRequest(req) {
 		return p.servePeerPiggyback(req)

@@ -259,11 +259,8 @@ func acceptsBlockdiff(req *httpwire.Request) bool {
 // The origin answers from memory, so the request context is unused beyond
 // satisfying the handler contract.
 func (s *Server) ServeWire(_ context.Context, req *httpwire.Request) *httpwire.Response {
-	if httpwire.IsStatsRequest(req) {
-		return httpwire.StatsResponse(s.obs)
-	}
-	if httpwire.IsPprofRequest(req) {
-		return httpwire.PprofResponse(req)
+	if resp := httpwire.AdminResponse(req, s.obs); resp != nil {
+		return resp
 	}
 	now := s.Clock()
 	s.c.requests.Inc()

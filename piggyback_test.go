@@ -5,16 +5,20 @@ import (
 	"net"
 	"testing"
 
-	"piggyback"
+	"piggyback/internal/core"
+	"piggyback/internal/httpwire"
+	"piggyback/internal/proxy"
+	"piggyback/internal/server"
+	"piggyback/internal/sim"
+	"piggyback/internal/tracegen"
 )
 
-// TestPublicAPIEndToEnd drives the library exactly as a downstream user
-// would: generate a workload, stand up an origin with volumes, front it
-// with a caching proxy, browse through it, and evaluate with the
-// simulator — all through the root package.
+// TestPublicAPIEndToEnd runs every layer in one flow: generate a
+// workload, evaluate it with the simulator, stand up an origin with
+// volumes, front it with a caching proxy, and browse through it.
 func TestPublicAPIEndToEnd(t *testing.T) {
 	// Workload.
-	log, site := piggyback.GenerateServerLog(piggyback.SiteConfig{
+	log, site := tracegen.GenerateServerLog(tracegen.SiteConfig{
 		Name: "api-test", Seed: 5, Pages: 30, Dirs: 4, MaxDepth: 2,
 		MeanImagesPerPage: 2, Clients: 8, Requests: 800, Duration: 3600 * 6,
 	})
@@ -23,12 +27,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Offline evaluation via the simulator.
-	b := piggyback.NewProbBuilder(piggyback.ProbConfig{T: 300, Pt: 0.1})
+	b := core.NewProbBuilder(core.ProbConfig{T: 300, Pt: 0.1})
 	for _, rec := range log {
 		b.Observe(rec)
 	}
 	vols := b.Build(0)
-	res := piggyback.NewSimulator(piggyback.SimConfig{T: 300, Provider: vols}).Run(log)
+	res := sim.New(sim.Config{T: 300, Provider: vols}).Run(log)
 	if res.Requests != len(log) {
 		t.Fatalf("sim requests %d", res.Requests)
 	}
@@ -39,38 +43,40 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	// Live protocol.
 	now := log[0].Time
 	clock := func() int64 { return now }
-	store := piggyback.NewStore()
-	piggyback.LoadSite(store, site)
-	origin := piggyback.NewOriginServer(store,
-		piggyback.NewDirVolumes(piggyback.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10}), clock)
+	store := server.NewStore()
+	for _, r := range site.ResourceTable() {
+		store.Put(server.Resource{URL: r.URL, Size: r.Size, LastModified: r.LastModifiedAt(site.Config.StartTime)})
+	}
+	origin := server.New(store,
+		core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10}), clock)
 	ol, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	osrv := &piggyback.WireServer{Handler: origin}
+	osrv := &httpwire.Server{Handler: origin}
 	go osrv.Serve(ol)
 	defer osrv.Close()
 
-	px := piggyback.NewProxy(piggyback.ProxyConfig{
+	px := proxy.New(proxy.Config{
 		Delta:      600,
 		Clock:      clock,
 		Resolve:    func(string) (string, error) { return ol.Addr().String(), nil },
-		BaseFilter: piggyback.Filter{MaxPiggy: 10},
+		BaseFilter: core.Filter{MaxPiggy: 10},
 	})
 	defer px.Close()
 	pl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	psrv := &piggyback.WireServer{Handler: px}
+	psrv := &httpwire.Server{Handler: px}
 	go psrv.Serve(pl)
 	defer psrv.Close()
 
-	client := piggyback.NewWireClient()
+	client := httpwire.NewClient()
 	defer client.Close()
 	for i := 0; i < 100; i++ {
 		now = log[i].Time
-		req := piggyback.NewWireRequest("GET", "http://www.api.test"+log[i].URL)
+		req := httpwire.NewRequest("GET", "http://www.api.test"+log[i].URL)
 		resp, err := client.DoContext(context.Background(), pl.Addr().String(), req)
 		if err != nil {
 			t.Fatal(err)
@@ -88,37 +94,5 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	if px.CacheHitRate() <= 0 {
 		t.Error("no cache hits")
-	}
-}
-
-// TestPublicAPIFilterAndMessage covers the protocol value types exposed at
-// the root.
-func TestPublicAPIFilterAndMessage(t *testing.T) {
-	f, err := piggyback.ParseFilter(`maxpiggy=10; rpv="3,4"`)
-	if err != nil || f.MaxPiggy != 10 {
-		t.Fatalf("ParseFilter: %+v, %v", f, err)
-	}
-	m, err := piggyback.ParseMessage("17; /a/b.html 866268400 4096")
-	if err != nil || m.Volume != 17 || len(m.Elements) != 1 {
-		t.Fatalf("ParseMessage: %+v, %v", m, err)
-	}
-	rec, err := piggyback.ParseCLF(piggyback.FormatCLF(piggyback.TraceRecord{
-		Time: 899637753, Client: "p1", Method: "GET", URL: "/x", Status: 200, Size: 10,
-	}))
-	if err != nil || rec.URL != "/x" {
-		t.Fatalf("CLF roundtrip: %+v, %v", rec, err)
-	}
-}
-
-// TestPublicAPICachePolicies covers the exported cache surface.
-func TestPublicAPICachePolicies(t *testing.T) {
-	for _, p := range []piggyback.CachePolicy{
-		piggyback.LRU{}, piggyback.LFU{}, &piggyback.GDSize{}, piggyback.PiggybackLRU{},
-	} {
-		c := piggyback.NewCache(1000, p)
-		c.Put(piggyback.CacheEntry{URL: "/x", Size: 100, Expires: 300}, 1)
-		if _, ok := c.Get("/x", 2); !ok {
-			t.Errorf("%s: miss after put", p.Name())
-		}
 	}
 }
