@@ -1,7 +1,7 @@
 // Package faultconn injects network faults at the net.Conn layer so the
 // failure paths of the wire stack — timeouts, truncated bodies, dead
-// peers, connection resets — can be exercised deterministically in tests
-// and load runs. A Listener wraps a real listener and assigns each
+// peers, connection resets — can be exercised deterministically in
+// tests. A Listener wraps a real listener and assigns each
 // accepted connection a Fault drawn from a seeded schedule (or a fixed
 // override), so the same seed replays the same brownout.
 //
@@ -80,32 +80,14 @@ func (pr Profile) draw(u float64) Fault {
 	}
 }
 
-// Profiles returns the named fault profile used by cmd/loadtest's -fault
-// axis, or false for an unknown name. Names: "none", "latency",
-// "truncate", "blackhole", "reset", "brownout" (a mixed degradation:
-// 40% slow, 10% truncating, 15% dead, 5% resetting).
-func Profiles(name string) (Profile, bool) {
-	switch name {
-	case "", "none":
-		return Profile{}, true
-	case "latency":
-		return Profile{LatencyP: 1, Latency: 20 * time.Millisecond}, true
-	case "truncate":
-		return Profile{TruncateP: 0.5, TruncateBytes: 512}, true
-	case "blackhole":
-		return Profile{BlackholeP: 0.3}, true
-	case "reset":
-		return Profile{ResetP: 0.3}, true
-	case "brownout":
-		return Profile{
-			LatencyP: 0.4, Latency: 20 * time.Millisecond,
-			TruncateP: 0.1, TruncateBytes: 2048,
-			BlackholeP: 0.15,
-			ResetP:     0.05,
-		}, true
-	default:
-		return Profile{}, false
-	}
+// Brownout is a mixed degradation of an origin: 40% of connections are
+// slow, 10% truncate, 15% are dead and 5% reset. The proxy's chaos test
+// drives it to check that expired entries degrade to stale serves.
+var Brownout = Profile{
+	LatencyP: 0.4, Latency: 20 * time.Millisecond,
+	TruncateP: 0.1, TruncateBytes: 2048,
+	BlackholeP: 0.15,
+	ResetP:     0.05,
 }
 
 // Conn wraps a net.Conn with a Fault. Write-side faults act on data

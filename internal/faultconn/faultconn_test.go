@@ -122,14 +122,13 @@ func TestProfileDrawPartition(t *testing.T) {
 
 func TestListenerDeterministicSchedule(t *testing.T) {
 	// Two listeners with the same seed assign identical fault sequences.
-	pr, _ := Profiles("brownout")
 	schedule := func(seed int64) []Fault {
 		inner, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer inner.Close()
-		l := NewListener(inner, pr, seed)
+		l := NewListener(inner, Brownout, seed)
 		var faults []Fault
 		done := make(chan struct{})
 		go func() {

@@ -5,10 +5,9 @@ import (
 	"sort"
 )
 
-// The serializers avoid fmt and per-message map clones: profiles of the
-// 64-worker loadtest showed per-header-line fmt.Fprintf boxing and the
-// Header.Clone needed to inject framing fields dominating hot-path
-// allocation. Framing fields (Content-Length, Transfer-Encoding, Trailer)
+// The serializers avoid fmt and per-message map clones: per-header-line
+// fmt.Fprintf boxing and the Header.Clone needed to inject framing fields
+// dominated hot-path allocation under concurrent load. Framing fields (Content-Length, Transfer-Encoding, Trailer)
 // are merged into the sorted key walk as "extras", and the sorted key
 // slice itself comes from a pool. Since the writev rework the single
 // source of serialization truth is the segment builders in writev.go

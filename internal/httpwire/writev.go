@@ -15,8 +15,8 @@ import (
 // tails appended after — and the whole vector goes to the socket as a
 // single writev (net.Buffers) instead of buffered writes plus Flush. One
 // response, or a whole coalesced batch of responses, costs one write
-// syscall. Profiles of the 64-worker loadtest motivated this: after the
-// PR 7 allocation audit, ~48% of CPU samples were raw socket syscalls.
+// syscall. Under concurrent load, once allocation was trimmed, raw socket
+// syscalls were ~48% of CPU samples.
 
 // wvec accumulates one or more serialized messages as writev segments.
 // segs may alias both head (serialized framing bytes) and caller-owned

@@ -83,16 +83,13 @@ func newBreaker(cfg breakerSettings, reg *obs.Registry, prefix string, seed int6
 }
 
 // configBreaker returns the per-host breaker cfg describes, counted under
-// prefix, or nil when cfg disables breakers.
+// prefix, or nil when cfg disables breakers. Its backoff jitter is seeded
+// with 1, so a run's breaker schedule replays.
 func configBreaker(cfg Config, reg *obs.Registry, prefix string) *breaker {
 	if cfg.BreakerDisabled {
 		return nil
 	}
-	seed := cfg.BreakerSeed
-	if seed == 0 {
-		seed = 1
-	}
-	return newBreaker(breakerSettings{failures: cfg.BreakerFailures, backoff: cfg.BreakerBackoff}, reg, prefix, seed)
+	return newBreaker(breakerSettings{failures: cfg.BreakerFailures, backoff: cfg.BreakerBackoff}, reg, prefix, 1)
 }
 
 // Allow reports whether a request to host may dial upstream. An open

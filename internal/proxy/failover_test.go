@@ -225,11 +225,7 @@ func TestProxyChaosBrownout(t *testing.T) {
 	}
 	fb.advance(200) // everything expired: failures must degrade to STALE
 
-	pr, ok := faultconn.Profiles("brownout")
-	if !ok {
-		t.Fatal("brownout profile missing")
-	}
-	fb.fl.SetProfile(pr)
+	fb.fl.SetProfile(faultconn.Brownout)
 	fb.fl.AbortConns()
 
 	const workers = 4

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,48 +254,87 @@ func TestMeshDisabledConfigs(t *testing.T) {
 	}
 }
 
+// TestMeshConcurrentFleetHammer drives a 3-proxy mesh from 8 concurrent
+// clients. Healthy, every request succeeds and the mesh routes: members
+// forward misses to ring owners, which serve them. In the peer-death case
+// the last member serves only as a ring owner and is killed once half the
+// requests are done; every request is a cold miss, so later ones keep
+// consulting owners, and forwards to the dead one must fall back to the
+// origin without a client ever seeing the death.
 func TestMeshConcurrentFleetHammer(t *testing.T) {
-	f := newFleet(t, 3, Config{Delta: 600})
-	urls := []string{
-		"www.site.com/a/x.html", "www.site.com/a/y.gif", "www.site.com/a/big.pdf",
-		"www.site.com/a/r0.html", "www.site.com/a/r1.html", "www.site.com/a/r2.html",
-		"www.site.com/a/r3.html", "www.site.com/a/r4.html", "www.site.com/a/r5.html",
-	}
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			cl := httpwire.NewClient()
-			defer cl.Close()
-			for i := 0; i < 40; i++ {
-				u := urls[(g*7+i)%len(urls)]
-				resp, err := cl.DoContext(context.Background(), f.addrs[(g+i)%len(f.addrs)], httpwire.NewRequest("GET", "http://"+u))
-				if err != nil {
-					errs <- fmt.Sprintf("goroutine %d: %v", g, err)
-					return
-				}
-				if resp.Status != 200 {
-					errs <- fmt.Sprintf("goroutine %d: status %d for %s", g, resp.Status, u)
-					return
+	const clients, perClient = 8, 40
+	for _, tc := range []struct {
+		name string
+		kill bool
+	}{
+		{name: "healthy"},
+		{name: "peer death", kill: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFleet(t, 3, Config{Delta: 600})
+			urls := []string{
+				"www.site.com/a/x.html", "www.site.com/a/y.gif", "www.site.com/a/big.pdf",
+				"www.site.com/a/r0.html", "www.site.com/a/r1.html", "www.site.com/a/r2.html",
+				"www.site.com/a/r3.html", "www.site.com/a/r4.html", "www.site.com/a/r5.html",
+			}
+			targets := f.addrs
+			victim := len(f.addrs) - 1
+			if tc.kill {
+				targets = f.addrs[:victim]
+				urls = urls[:0]
+				for i := 0; i < clients*perClient; i++ {
+					f.store.Put(server.Resource{URL: fmt.Sprintf("/a/c%03d.html", i), Size: 200, LastModified: 1100})
+					urls = append(urls, fmt.Sprintf("www.site.com/a/c%03d.html", i))
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	// The mesh actually routed: someone forwarded, someone served.
-	var forwards, serves int
-	for _, p := range f.px {
-		st := p.Stats()
-		forwards += st.PeerForwards
-		serves += st.PeerServes
-	}
-	if forwards == 0 || serves == 0 {
-		t.Errorf("hammer never exercised the mesh: forwards=%d serves=%d", forwards, serves)
+			var done atomic.Int64
+			var wg sync.WaitGroup
+			errs := make(chan string, clients)
+			for g := 0; g < clients; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					cl := httpwire.NewClient()
+					defer cl.Close()
+					for i := 0; i < perClient; i++ {
+						u := urls[(g*perClient+i)%len(urls)]
+						resp, err := cl.DoContext(context.Background(), targets[(g+i)%len(targets)], httpwire.NewRequest("GET", "http://"+u))
+						if err != nil {
+							errs <- fmt.Sprintf("goroutine %d: %v", g, err)
+							return
+						}
+						if resp.Status != 200 {
+							errs <- fmt.Sprintf("goroutine %d: status %d for %s", g, resp.Status, u)
+							return
+						}
+						if tc.kill && done.Add(1) == clients*perClient/2 {
+							// Close the listener too, so later dials are
+							// refused instead of accepted and never served.
+							f.srvs[victim].Close()
+							f.ls[victim].Close()
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			close(errs)
+			for e := range errs {
+				t.Fatal(e)
+			}
+			var forwards, serves, fallbacks int
+			for _, p := range f.px {
+				st := p.Stats()
+				forwards += st.PeerForwards
+				serves += st.PeerServes
+				fallbacks += st.PeerFallbacks
+			}
+			if forwards == 0 || serves == 0 {
+				t.Errorf("hammer never exercised the mesh: forwards=%d serves=%d", forwards, serves)
+			}
+			if tc.kill && fallbacks == 0 {
+				t.Errorf("peer death produced no origin fallbacks (forwards=%d serves=%d)", forwards, serves)
+			}
+			t.Logf("forwards=%d serves=%d fallbacks=%d", forwards, serves, fallbacks)
+		})
 	}
 }

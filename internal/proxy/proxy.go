@@ -81,9 +81,6 @@ type Config struct {
 	BreakerBackoff time.Duration
 	// BreakerDisabled turns the per-host circuit breaker off.
 	BreakerDisabled bool
-	// BreakerSeed seeds the breaker's backoff jitter; zero means 1
-	// (deterministic by default).
-	BreakerSeed int64
 	// MaxStaleOnError bounds serve-stale-on-error: on a qualifying
 	// upstream failure (or an open circuit) an expired cache entry is
 	// still served — marked X-Cache: STALE with Warning: 110 — if it

@@ -2,11 +2,14 @@ package piggyback_test
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 
 	"piggyback/internal/core"
 	"piggyback/internal/httpwire"
+	"piggyback/internal/obs"
 	"piggyback/internal/proxy"
 	"piggyback/internal/server"
 	"piggyback/internal/sim"
@@ -95,4 +98,90 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if px.CacheHitRate() <= 0 {
 		t.Error("no cache hits")
 	}
+}
+
+// TestProxyConcurrentClients puts 64 clients, each with its own
+// connection, on a proxy over loopback TCP: 200 resources, 64 requests per
+// client, a miss on each resource's first touch and hits after. Run under
+// -race. No request may fail; the proxy's server side answers each request
+// in one vectored write; and concurrent misses spread over more than one
+// pooled origin connection.
+func TestProxyConcurrentClients(t *testing.T) {
+	const clients, perClient, nRes, size = 64, 64, 200, 2000
+	now := int64(899637753)
+	clock := func() int64 { return now }
+	st := server.NewStore()
+	for i := 0; i < nRes; i++ {
+		st.Put(server.Resource{URL: fmt.Sprintf("/a/r%03d.html", i), Size: size, LastModified: now - 86400})
+	}
+	origin := server.New(st,
+		core.NewDirVolumes(core.DirConfig{Level: 1, MTF: true, ServerMaxPiggy: 10}), clock)
+	ol, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	osrv := &httpwire.Server{Handler: origin}
+	go osrv.Serve(ol)
+	defer osrv.Close()
+
+	px := proxy.New(proxy.Config{
+		Delta:      3600,
+		Clock:      clock,
+		Resolve:    func(string) (string, error) { return ol.Addr().String(), nil },
+		BaseFilter: core.Filter{MaxPiggy: 10},
+	})
+	defer px.Close()
+	pl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	psrv := &httpwire.Server{Handler: px, Obs: obs.NewWireMetrics(px.Obs(), "wire.server")}
+	go psrv.Serve(pl)
+	defer psrv.Close()
+
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			cl := httpwire.NewClient()
+			defer cl.Close()
+			for i := 0; i < perClient; i++ {
+				url := fmt.Sprintf("http://www.load.test/a/r%03d.html", (c*perClient+i)%nRes)
+				resp, err := cl.DoContext(context.Background(), pl.Addr().String(), httpwire.NewRequest("GET", url))
+				if err == nil && (resp.Status != 200 || len(resp.Body) != size) {
+					err = fmt.Errorf("status %d, %d body bytes", resp.Status, len(resp.Body))
+				}
+				if err != nil {
+					errs <- fmt.Errorf("client %d, %s: %v", c, url, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	// conns_open is a live gauge: read it while the proxy still pools.
+	conns := px.Obs().Snapshot().Counter("wire.upstream.conns_open")
+	if conns <= 1 {
+		t.Errorf("%d clients used %d pooled origin connections, want > 1", clients, conns)
+	}
+	// Closing the server drains its connection goroutines, so the
+	// syscall counters are final.
+	psrv.Close()
+	snap := px.Obs().Snapshot()
+	served := snap.Counter("wire.server.requests")
+	if served != clients*perClient {
+		t.Fatalf("server counted %d requests, want %d", served, clients*perClient)
+	}
+	writes := float64(snap.Counter("wire.server.syscalls.writes")) / float64(served)
+	if writes > 1.1 {
+		t.Errorf("%.3f write syscalls per request, want <= 1.1", writes)
+	}
+	t.Logf("%d requests: %.3f writes/request, %d pooled origin connections", served, writes, conns)
 }
